@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-guard bench-wallclock wallclock-guard snapshot-guard check attacks dfa explore explore-smoke explore-guard explore-record soak serve-soak throughput-guard throughput-record scale scale-record fuzz-smoke ci
+.PHONY: all build vet test race bench bench-guard bench-wallclock wallclock-guard snapshot-guard check attacks dfa explore explore-smoke explore-guard explore-record soak serve-soak throughput-guard throughput-record scale scale-record fuzz-smoke perfbench-build ci
 
 all: ci
 
@@ -146,6 +146,13 @@ scale:
 scale-record:
 	sh scripts/scale_guard.sh record
 
+# The benchmark is its own Go module (perfbench/go.mod, replacing sentry
+# with this checkout), so `go build ./...` never compiles it. Vet and build
+# it against the current sources so an internal API change cannot silently
+# break the benchmark. Needs no network: the module requires only sentry.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
 # Short native-fuzzing burst over the PIN state machine, the cold-boot dump
 # scanners, and the DFA pair classifier.
 fuzz-smoke:
@@ -154,4 +161,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEvictionSet -fuzztime 30s ./internal/attack/
 	$(GO) test -run '^$$' -fuzz FuzzDFAFaultMask -fuzztime 30s ./internal/attack/
 
-ci: vet build race bench-guard wallclock-guard snapshot-guard check attacks dfa explore-smoke explore-guard soak serve-soak throughput-guard scale
+ci: vet build perfbench-build race bench-guard wallclock-guard snapshot-guard check attacks dfa explore-smoke explore-guard soak serve-soak throughput-guard scale

@@ -222,12 +222,12 @@ func runOpenLoop(c *fleet.HTTPClient, devices int, seed int64, rate float64, dur
 	res.done = total
 	for _, code := range codes {
 		res.byCode[code]++
-		switch code {
-		case fleet.CodeOK, fleet.CodeBadPIN, fleet.CodeLocked:
+		switch {
+		case code == fleet.CodeOK, fleet.Refusal(code):
 			// Domain outcomes are successful round trips: the server
 			// correctly refused an op its device state forbids. Only
 			// service-level errors count against the run.
-		case fleet.CodeOverload:
+		case code == fleet.CodeOverload:
 			res.overload++
 			res.failed++
 		default:

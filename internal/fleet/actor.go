@@ -731,7 +731,7 @@ func (a *actor) unlockFailed(err error) (Result, error) {
 func (a *actor) beginBg(pinned bool) (Result, error) {
 	d := a.d
 	if d.dev.Kernel.State() == kernel.Unlocked {
-		return Result{}, fmt.Errorf("fleet: background sessions need a locked device: %w", kernel.ErrLocked)
+		return Result{}, fmt.Errorf("fleet: background sessions need a locked device: %w", ErrNotLocked)
 	}
 	if d.bgOn {
 		return Result{Session: "bg-already-on"}, nil

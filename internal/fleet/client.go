@@ -70,6 +70,7 @@ const (
 	CodeOK            = "ok"
 	CodeBadPIN        = "bad_pin"
 	CodeLocked        = "locked"
+	CodeNotLocked     = "not_locked"
 	CodeQuarantined   = "quarantined"
 	CodeRestarted     = "restarted"
 	CodeShed          = "shed"
@@ -106,6 +107,8 @@ func ErrorCode(err error) string {
 		return CodeCircuitOpen
 	case errors.Is(err, kernel.ErrLocked):
 		return CodeLocked
+	case errors.Is(err, ErrNotLocked):
+		return CodeNotLocked
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeDeadline
 	case errors.Is(err, context.Canceled):
@@ -121,6 +124,19 @@ func ErrorCode(err error) string {
 		}
 		return CodeOther
 	}
+}
+
+// Refusal reports whether a wire code is a domain answer: the device's
+// state forbids the op (bad_pin, locked, not_locked). A refusal is a
+// correct, healthy reply — clients count it as a completed round trip, the
+// fleet counts it under fleet.ops_refused rather than fleet.ops_failed, and
+// Do never retries it.
+func Refusal(code string) bool {
+	switch code {
+	case CodeBadPIN, CodeLocked, CodeNotLocked:
+		return true
+	}
+	return false
 }
 
 // ErrorForCode reconstructs a typed error from its wire code and message:
@@ -143,6 +159,7 @@ func ErrorForCode(code, msg string) error {
 	sentinel := map[string]error{
 		CodeBadPIN:        kernel.ErrBadPIN,
 		CodeLocked:        kernel.ErrLocked,
+		CodeNotLocked:     ErrNotLocked,
 		CodeQuarantined:   ErrQuarantined,
 		CodeRestarted:     ErrDeviceRestarted,
 		CodeShed:          ErrShed,

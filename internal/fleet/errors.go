@@ -27,6 +27,10 @@ var (
 	ErrShutdown = errors.New("fleet: fleet shut down")
 	// ErrUnknownDevice: no device with that id is hosted here.
 	ErrUnknownDevice = errors.New("fleet: unknown device")
+	// ErrNotLocked: the op needs a locked device and this one is unlocked
+	// (a background session can only begin while the screen is locked).
+	// The mirror image of kernel.ErrLocked, and like it a domain answer.
+	ErrNotLocked = errors.New("fleet: device not locked")
 	// ErrOverload: admission control rejected the request at the front door
 	// — the fleet is at its configured inflight limit. Retryable from the
 	// caller's side (after easing off), but Do itself never retries it:
@@ -40,10 +44,13 @@ var (
 var errSlotMoved = errors.New("fleet: slot re-homed by reshard")
 
 // Transient classifies an error as worth retrying: the failure is a state
-// the device can leave on its own (locked screen, open breaker, a reboot in
-// progress, momentary memory pressure). Everything else — wrong PIN,
-// quarantine, shutdown, exhausted deadlines, and any error the classifier
-// does not recognise — is permanent: retrying what we don't understand only
+// the device or the fleet leaves on its own, so waiting can change the
+// answer (a shed request, an open breaker, a reboot in progress, momentary
+// memory pressure). Domain answers are final: a wrong PIN, a locked screen
+// refusing a touch, an unlocked screen refusing a background session — only
+// another op (an unlock, a lock) changes them, never a backoff. Quarantine,
+// shutdown, exhausted deadlines, and any error the classifier does not
+// recognise are permanent too: retrying what we don't understand only
 // amplifies load.
 func Transient(err error) bool {
 	if err == nil {
@@ -51,14 +58,15 @@ func Transient(err error) bool {
 	}
 	switch {
 	case errors.Is(err, kernel.ErrBadPIN),
+		errors.Is(err, kernel.ErrLocked),
+		errors.Is(err, ErrNotLocked),
 		errors.Is(err, ErrQuarantined),
 		errors.Is(err, ErrShutdown),
 		errors.Is(err, ErrUnknownDevice),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return false
-	case errors.Is(err, kernel.ErrLocked),
-		errors.Is(err, ErrShed),
+	case errors.Is(err, ErrShed),
 		errors.Is(err, ErrOverload),
 		errors.Is(err, ErrCircuitOpen),
 		errors.Is(err, ErrDeviceRestarted),

@@ -48,7 +48,12 @@ import (
 
 // Registry names of the fleet's metrics.
 const (
+	// Every Do lands in exactly one outcome counter: ops_ok, ops_refused
+	// (a domain answer, see Refusal), or ops_failed (a service failure).
+	// Clients that treat refusals as completed round trips read the same
+	// split off /metrics.
 	MetricOpsOK            = "fleet.ops_ok"
+	MetricOpsRefused       = "fleet.ops_refused"
 	MetricOpsFailed        = "fleet.ops_failed"
 	MetricRetries          = "fleet.retries"
 	MetricSheds            = "fleet.sheds"
@@ -78,7 +83,7 @@ const (
 // Open and functional options; Options remains exported as the resolved
 // form (and for the deprecated New).
 type Options struct {
-	Devices int   // logical device population (IDs [0, Devices))
+	Devices int // logical device population (IDs [0, Devices))
 	Seed    int64
 	PIN     string // unlock PIN for every device (default "4321")
 
@@ -285,6 +290,7 @@ type Fleet struct {
 	actorWG  sync.WaitGroup
 
 	ctrOpsOK            *obs.Counter
+	ctrOpsRefused       *obs.Counter
 	ctrOpsFailed        *obs.Counter
 	ctrRetries          *obs.Counter
 	ctrSheds            *obs.Counter
@@ -340,6 +346,7 @@ func newFleet(opt Options) *Fleet {
 	// actors only update resolved counters (atomics, legal from anywhere);
 	// any later cross-goroutine wiring is a bug the guard catches.
 	f.ctrOpsOK = f.reg.Counter(MetricOpsOK)
+	f.ctrOpsRefused = f.reg.Counter(MetricOpsRefused)
 	f.ctrOpsFailed = f.reg.Counter(MetricOpsFailed)
 	f.ctrRetries = f.reg.Counter(MetricRetries)
 	f.ctrSheds = f.reg.Counter(MetricSheds)
@@ -471,8 +478,10 @@ func (f *Fleet) unadmit() {
 // Do executes op against device id: it takes an admission token, imposes a
 // deadline if ctx has none, gates on the device's circuit breaker, and
 // retries transient failures with backed-off, deterministically jittered
-// delays. The returned Result carries the operation id (the handle the
-// device ledger records) even when err is non-nil.
+// delays. A domain answer (a Refusal such as a locked screen) returns after
+// one execution: no wait can change it. The returned Result carries the
+// operation id (the handle the device ledger records) even when err is
+// non-nil.
 //
 // Operation ids are allocated per device ((id+1)<<40 | n), not fleet-wide:
 // a device driven by one client at a time then numbers its ops identically
@@ -525,7 +534,11 @@ func (f *Fleet) Do(ctx context.Context, id DeviceID, op Op) (Result, error) {
 		}
 		lastErr = err
 		if !Transient(err) {
-			f.ctrOpsFailed.Inc()
+			if Refusal(ErrorCode(err)) {
+				f.ctrOpsRefused.Inc()
+			} else {
+				f.ctrOpsFailed.Inc()
+			}
 			return res, err
 		}
 		if attempt >= f.opt.MaxAttempts {
@@ -564,8 +577,9 @@ func (f *Fleet) try(ctx context.Context, sh *shard, sl *slot, op Op, opID uint64
 }
 
 // healthFailure decides which outcomes the breaker counts against the
-// device. Domain errors (wrong PIN, locked screen) are healthy responses;
-// restarts, quarantines, sheds, and blown deadlines indict the device.
+// device. Domain answers (wrong PIN, locked screen, unlocked screen) are
+// healthy responses; restarts, quarantines, sheds, and blown deadlines
+// indict the device.
 func healthFailure(err error) bool {
 	if err == nil {
 		return false

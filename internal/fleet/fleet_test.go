@@ -57,8 +57,12 @@ func TestTransientClassifier(t *testing.T) {
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},
 		{errors.New("mystery"), false}, // unknown errors are not retried
-		{kernel.ErrLocked, true},
-		{wrap(kernel.ErrLocked), true},
+		// Domain answers are final: only another op changes the lock
+		// state, so no wait can turn a refusal into a success.
+		{kernel.ErrLocked, false},
+		{wrap(kernel.ErrLocked), false},
+		{ErrNotLocked, false},
+		{wrap(ErrNotLocked), false},
 		{ErrShed, true},
 		{ErrOverload, true},
 		{ErrCircuitOpen, true},
@@ -87,7 +91,7 @@ func TestTransientClassifier(t *testing.T) {
 func TestErrorCodeRoundTrip(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("layer: %w", err) }
 	sentinels := []error{
-		kernel.ErrBadPIN, kernel.ErrLocked, ErrQuarantined, ErrDeviceRestarted,
+		kernel.ErrBadPIN, kernel.ErrLocked, ErrNotLocked, ErrQuarantined, ErrDeviceRestarted,
 		ErrShed, ErrOverload, ErrCircuitOpen, ErrShutdown, ErrUnknownDevice,
 		context.DeadlineExceeded, context.Canceled,
 	}
@@ -101,6 +105,12 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		// behaves identically on both transports.
 		if Transient(back) != Transient(sent) {
 			t.Errorf("Transient mismatch across round trip for %v", sent)
+		}
+		// Exactly the domain answers are refusals, the split both sides'
+		// outcome counters book.
+		if want := errors.Is(sent, kernel.ErrBadPIN) || errors.Is(sent, kernel.ErrLocked) ||
+			errors.Is(sent, ErrNotLocked); Refusal(code) != want {
+			t.Errorf("Refusal(%q) = %v, want %v", code, Refusal(code), want)
 		}
 	}
 	if ErrorCode(nil) != CodeOK {
@@ -283,6 +293,70 @@ func TestDoNeverRetriesPermanentFailures(t *testing.T) {
 	}
 	if n := f.Metrics().CounterValue(MetricRetries); n != 0 {
 		t.Fatalf("retries = %d, want 0", n)
+	}
+}
+
+// A locked screen refusing a touch is an answer, not a fault: Do executes
+// it once and returns it — no retry, no backoff timer. The fleet is
+// resident-capped so the refusal must hydrate the parked device, and a
+// retry would re-acquire residency each time.
+func TestDoAnswersLockedOnce(t *testing.T) {
+	clk := NewFakeClock()
+	f := Open(2, WithSeed(5), WithClock(clk), WithResidentCap(1))
+	defer f.Stop()
+	// A real deadline bounds the test should a retry park Do on a backoff
+	// timer the fake clock never fires.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	if _, err := f.Do(ctx, 0, Op{Code: OpLock, Prio: PrioHigh}); err != nil {
+		t.Fatalf("lock: %v", err)
+	}
+	// Device 1 takes the only seat; device 0 parks, locked.
+	if _, err := f.Do(ctx, 1, Op{Code: OpPing}); err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+	// The watchdog's scan timer is the one timer that stays armed; any
+	// timer beyond it is a retry backoff.
+	waitFor(t, func() bool { return clk.Pending() == 1 })
+	reg := f.Metrics()
+	execs, hydrations := reg.CounterValue(MetricExecs), reg.CounterValue(MetricHydrations)
+
+	res, err := f.Do(ctx, 0, Op{Code: OpTouch, Arg: 1})
+	if !errors.Is(err, kernel.ErrLocked) || ErrorCode(err) != CodeLocked {
+		t.Fatalf("touch on a locked device = %v, want kernel.ErrLocked", err)
+	}
+	if res.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1", res.Attempts)
+	}
+	if n := reg.CounterValue(MetricExecs) - execs; n != 1 {
+		t.Errorf("refusal executed %d times, want 1", n)
+	}
+	if n := reg.CounterValue(MetricHydrations) - hydrations; n != 1 {
+		t.Errorf("refusal hydrated %d times, want 1", n)
+	}
+	if n := reg.CounterValue(MetricRetries); n != 0 {
+		t.Errorf("retries = %d, want 0", n)
+	}
+	if n := clk.Pending(); n != 1 {
+		t.Errorf("%d timers pending, want only the watchdog's: a backoff was armed", n)
+	}
+	if r, fl := reg.CounterValue(MetricOpsRefused), reg.CounterValue(MetricOpsFailed); r != 1 || fl != 0 {
+		t.Errorf("ops_refused=%d ops_failed=%d, want 1, 0", r, fl)
+	}
+
+	ledger, err := f.Ledger(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []LedgerEntry
+	for _, e := range ledger {
+		if e.Err != "" {
+			failed = append(failed, e)
+		}
+	}
+	if len(ledger) != 2 || len(failed) != 1 || failed[0].OpID != res.OpID || failed[0].Seq != 0 {
+		t.Fatalf("ledger = %+v, want the lock plus exactly one failed entry for op %d", ledger, res.OpID)
 	}
 }
 
@@ -516,14 +590,17 @@ func TestBreakerTripsOnHealthFailures(t *testing.T) {
 	}
 }
 
-// Domain errors — wrong PIN, locked screen — are healthy responses and must
-// not trip the breaker.
+// Domain answers — wrong PIN, locked screen, unlocked screen — are healthy
+// responses: they must not trip the breaker, and the fleet books them as
+// refusals, not failures.
 func TestBreakerIgnoresDomainErrors(t *testing.T) {
+	domain := []error{kernel.ErrBadPIN, kernel.ErrLocked, ErrNotLocked}
+	var calls atomic.Int64
 	f := New(Options{
 		Devices: 1, Seed: 5, MaxAttempts: 1, Backoff: &instantBackoff,
 		Breaker: BreakerConfig{Window: 3, MinSamples: 3, FailureRate: 1, OpenFor: time.Hour, HalfOpenProbes: 1},
 		testExec: func(a *actor, op Op) (bool, Result, error) {
-			return true, Result{}, fmt.Errorf("auth: %w", kernel.ErrBadPIN)
+			return true, Result{}, fmt.Errorf("domain: %w", domain[calls.Add(1)%3])
 		},
 	})
 	defer f.Stop()
@@ -532,6 +609,9 @@ func TestBreakerIgnoresDomainErrors(t *testing.T) {
 	}
 	if st := testSlot(f, 0).brk.State(); st != BreakerClosed {
 		t.Fatalf("breaker = %v after domain errors, want closed", st)
+	}
+	if r, fl := f.Metrics().CounterValue(MetricOpsRefused), f.Metrics().CounterValue(MetricOpsFailed); r != 6 || fl != 0 {
+		t.Fatalf("ops_refused=%d ops_failed=%d, want 6, 0", r, fl)
 	}
 }
 

@@ -116,6 +116,38 @@ func TestHTTPTypedErrors(t *testing.T) {
 	}
 }
 
+// A background session needs a locked screen: bg-begin on an unlocked
+// device is a domain answer with its own wire code, final on both
+// transports. bg-touch without a session still answers locked.
+func TestHTTPBgBeginNotLocked(t *testing.T) {
+	f := Open(1, WithSeed(7))
+	defer f.Stop()
+	c := newHTTPFixture(t, f)
+	ctx := context.Background()
+
+	outs, err := c.DoBatch(ctx, 0, []Op{{Code: OpBgBegin}, {Code: OpBgTouch}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Code != CodeNotLocked || outs[0].Attempts != 1 {
+		t.Fatalf("bg-begin on an unlocked device = %q after %d attempts, want %q after 1",
+			outs[0].Code, outs[0].Attempts, CodeNotLocked)
+	}
+	if outs[1].Code != CodeLocked {
+		t.Fatalf("bg-touch with no session = %q, want %q", outs[1].Code, CodeLocked)
+	}
+	_, err = c.Do(ctx, 0, Op{Code: OpBgBegin})
+	if !errors.Is(err, ErrNotLocked) || errors.Is(err, kernel.ErrLocked) {
+		t.Fatalf("remote bg-begin on an unlocked device = %v, want ErrNotLocked only", err)
+	}
+	if !Permanent(err) {
+		t.Fatal("remote ErrNotLocked is retryable")
+	}
+	if n := f.Metrics().CounterValue(MetricRetries); n != 0 {
+		t.Fatalf("retries = %d, want 0", n)
+	}
+}
+
 // Overload aborts the batch with 429 and comes back as a retryable typed
 // ErrOverload.
 func TestHTTPOverload(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 
 	"sentry/internal/faults"
@@ -21,8 +22,45 @@ type deviceTrace struct {
 	Quarantined bool
 }
 
-// runTrace opens a fleet, drives the deterministic soak workload against it,
-// and returns the per-device traces plus the park/hydrate/restart counters.
+// lockstep is a Client that holds each device's next op until every device
+// has sent its previous one, so all devices contend for the resident seats
+// at every step. A capped run then parks and re-hydrates devices however
+// quickly each op completes; without it, a device answered without pause
+// can run its whole schedule while the others wait for its seat.
+type lockstep struct {
+	Client
+	n int // devices driven, one op per device per step
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	arrived int
+	step    int
+}
+
+func newLockstep(c Client, n int) *lockstep {
+	l := &lockstep{Client: c, n: n}
+	l.cond = sync.NewCond(&l.mu)
+	return l
+}
+
+func (l *lockstep) Do(ctx context.Context, id DeviceID, op Op) (Result, error) {
+	l.mu.Lock()
+	if l.arrived++; l.arrived == l.n {
+		l.arrived = 0
+		l.step++
+		l.cond.Broadcast()
+	} else {
+		for step := l.step; step == l.step; {
+			l.cond.Wait()
+		}
+	}
+	l.mu.Unlock()
+	return l.Client.Do(ctx, id, op)
+}
+
+// runTrace opens a fleet, drives the deterministic soak workload against it
+// in lockstep, and returns the per-device traces plus the
+// park/hydrate/restart counters.
 func runTrace(t *testing.T, nDev, ops int, seed int64, opts ...Option) ([]deviceTrace, map[string]uint64) {
 	t.Helper()
 	prof, ok := faults.ByName("benign")
@@ -30,7 +68,7 @@ func runTrace(t *testing.T, nDev, ops int, seed int64, opts ...Option) ([]device
 		t.Fatal("benign profile missing")
 	}
 	f := Open(nDev, append([]Option{WithSeed(seed), WithFaults(prof)}, opts...)...)
-	recs := driveSoak(f, SoakConfig{Devices: nDev, OpsPerDevice: ops, Seed: seed}.withDefaults())
+	recs := driveSoak(newLockstep(f, nDev), SoakConfig{Devices: nDev, OpsPerDevice: ops, Seed: seed}.withDefaults())
 	f.Stop()
 	if v := f.SweepConfidentiality(); len(v) != 0 {
 		t.Fatalf("confidentiality violations: %v", v)

@@ -95,8 +95,12 @@ type SoakReport struct {
 	Seed         int64  `json:"seed"`
 	Profile      string `json:"profile"`
 
-	OpsAttempted     uint64 `json:"ops_attempted"`
-	OpsOK            uint64 `json:"ops_ok"`
+	OpsAttempted uint64 `json:"ops_attempted"`
+	OpsOK        uint64 `json:"ops_ok"`
+	// OpsFailed counts every op the client saw return an error, domain
+	// refusals (the Refusal classes of FailuresByClass) included; the
+	// fleet books those under fleet.ops_refused, the rest under
+	// fleet.ops_failed.
 	OpsFailed        uint64 `json:"ops_failed"`
 	Retries          uint64 `json:"retries"`
 	Execs            uint64 `json:"execs"`
@@ -268,9 +272,27 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if rep.OpsAttempted > 0 {
 		rep.Amplification = float64(rep.Execs) / float64(rep.OpsAttempted)
 	}
-	if ok := f.reg.CounterValue(MetricOpsOK); ok != rep.OpsOK {
-		rep.Problems = append(rep.Problems,
-			fmt.Sprintf("fleet counter ops_ok=%d disagrees with client-observed %d", ok, rep.OpsOK))
+	// The fleet's outcome counters must agree with what the clients saw:
+	// the client's failures split into domain refusals and service failures
+	// exactly as Do booked them.
+	var refused uint64
+	for class, n := range rep.FailuresByClass {
+		if Refusal(class) {
+			refused += n
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{MetricOpsOK, rep.OpsOK},
+		{MetricOpsRefused, refused},
+		{MetricOpsFailed, rep.OpsFailed - refused},
+	} {
+		if got := f.reg.CounterValue(c.name); got != c.want {
+			rep.Problems = append(rep.Problems,
+				fmt.Sprintf("fleet counter %s=%d disagrees with client-observed %d", c.name, got, c.want))
+		}
 	}
 
 	for i := range rep.PerDevice {
