@@ -46,9 +46,8 @@ wallclock-guard:
 	$(GO) run ./cmd/sentrybench -exp all -j 0 -wallclock-guard BENCH_wallclock.json | tail -1
 
 # Fail if the model-checker campaign is >25% slower than the checked-in
-# record. The budget was recorded with the checkpoint/fork engine on, so a
-# regression in the snapshot fast path (or someone quietly disabling it)
-# blows this guard.
+# record. The shrinker always forks captured worlds, so a regression in the
+# snapshot fast path blows this guard.
 snapshot-guard:
 	$(GO) run ./cmd/sentrybench -check -seeds 256 -wallclock-guard BENCH_wallclock.json | tail -1
 
@@ -133,10 +132,11 @@ throughput-record:
 	sh scripts/throughput_guard.sh record
 
 # Fleet capacity smoke + memory guard: delta-parked and mid-reshard soaks
-# must report byte-identically to the plain soak, the delta encoding must
-# hold its >=5x reduction over full-snapshot parking, two runs must print
-# identical "scale:" lines, and the measured bytes per parked device must
-# stay within 25% of the keyed "scale" record in BENCH_wallclock.json.
+# must report byte-identically to a soak whose devices never park, two runs
+# must print identical "scale:" lines, and the measured bytes per parked
+# device must stay within 25% of the keyed "scale" record in
+# BENCH_wallclock.json. (The >=5x reduction over a dense device is
+# TestDeltaParkingShrinksParkedBytes, in `make test`.)
 scale:
 	sh scripts/scale_guard.sh smoke
 	sh scripts/scale_guard.sh guard

@@ -20,11 +20,6 @@ const (
 	controlSeeds  = 4
 )
 
-// exploreMinRatio is the acceptance floor the CI guard holds the tree to: a
-// fresh sweep must run at least this many times the schedules/sec of the
-// recorded seed-replay baseline over the identical schedule set.
-const exploreMinRatio = 10
-
 // exploreResult carries what main needs for wallclock accounting: the
 // overall verdict and the defended-sweep throughput (controls excluded —
 // they stop at the first violating seed, so their rate says nothing).

@@ -12,10 +12,9 @@ import (
 // stdout. Returns false (non-zero exit) if any soak assertion failed: lost
 // or duplicated ops, confidentiality violations, unbounded retry
 // amplification, or an untraceable quarantine.
-func runFleetSoak(devices, ops int, seed int64, profile string, noSnapshots bool) bool {
+func runFleetSoak(devices, ops int, seed int64, profile string) bool {
 	rep, err := fleet.RunSoak(fleet.SoakConfig{
 		Devices: devices, OpsPerDevice: ops, Seed: seed, Faults: profile,
-		NoSnapshots: noSnapshots,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sentrybench:", err)

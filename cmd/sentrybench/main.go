@@ -12,7 +12,6 @@
 //	sentrybench -check -wallclock-guard BENCH_wallclock.json    # fail if the checker outgrows its budget
 //	sentrybench -check -seeds 256       # invariant model-checker campaign
 //	sentrybench -check -faults benign   # ... with benign fault injection
-//	sentrybench -check -snapshot=off    # ... without the checkpoint/fork engine
 //	sentrybench -check -j 0             # ... campaign seeds on a worker pool
 //	sentrybench -attacks -seeds 24      # cache-timing adversary sweep: per-profile leak verdicts
 //	sentrybench -dfa -seeds 24          # fault-injection sweep: DFA key recovery vs placements and countermeasures
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"sentry/internal/bench"
-	"sentry/internal/check"
 	"sentry/internal/obs"
 	"sentry/internal/wallclock"
 )
@@ -71,7 +69,7 @@ func main() {
 		parallel  = flag.Int("j", 1, "worker-pool width for -exp all (0 = GOMAXPROCS)")
 		traceOut  = flag.String("trace", "", "write a JSONL event trace of all experiment activity to this file")
 		wallOut   = flag.String("wallclock", "", "write per-experiment wall-clock timings (JSON) to this file")
-		wallGuard = flag.String("wallclock-guard", "", "compare this run's total wall clock against a recorded JSON file; exit non-zero on >25% regression")
+		wallGuard = flag.String("wallclock-guard", "", "hold this run to its kind's guard-table bounds against a recorded JSON file; exit non-zero on regression")
 
 		doCheck    = flag.Bool("check", false, "run the invariant model-checker campaign + positive controls")
 		doAttacks  = flag.Bool("attacks", false, "run the cache-timing adversary sweep: per-profile leak verdicts for Prime+Probe, Evict+Reload, and the occupancy probe")
@@ -91,25 +89,11 @@ func main() {
 		fleetScale = flag.Bool("fleet-scale", false, "run the fleet capacity smoke: delta-park and live-reshard equivalence plus the parked-bytes-per-device measurement")
 		devices    = flag.Int("devices", 32, "fleet size for -fleet-soak / -fleet-scale")
 		soakOps    = flag.Int("ops", 300, "ops per device for -fleet-soak / -fleet-scale")
-
-		snapshotMode = flag.String("snapshot", "on", "checkpoint/fork engine: on (default) or off; results are identical, only wall-clock differs")
 	)
 	flag.Parse()
 
-	var snapshotsOn bool
-	switch *snapshotMode {
-	case "on":
-		snapshotsOn = true
-	case "off":
-		snapshotsOn = false
-		check.SnapshotEnabled = false
-		bench.SetSnapshotBoots(false)
-	default:
-		fatalf("-snapshot must be on or off, got %q", *snapshotMode)
-	}
-
 	if *fleetSoak {
-		if !runFleetSoak(*devices, *soakOps, *seed, *faultsProf, !snapshotsOn) {
+		if !runFleetSoak(*devices, *soakOps, *seed, *faultsProf) {
 			os.Exit(1)
 		}
 		return
@@ -170,20 +154,7 @@ func main() {
 			recordWallclock(*wallOut, kind, *seed, run)
 		}
 		if *wallGuard != "" {
-			msg, err := wallclock.GuardThroughput(*wallGuard, kind, run)
-			if err != nil {
-				fatalf("wallclock-guard: %v", err)
-			}
-			fmt.Println("wallclock-guard:", msg)
-			if !*expBase {
-				// The tree must also hold its speedup over the recorded
-				// seed-replay baseline, not just its own absolute floor.
-				msg, err := wallclock.GuardRatio(*wallGuard, "explore-baseline", exploreMinRatio, run)
-				if err != nil {
-					fatalf("wallclock-guard: %v", err)
-				}
-				fmt.Println("wallclock-guard:", msg)
-			}
+			guardWallclock(*wallGuard, kind, run)
 		}
 		return
 	}

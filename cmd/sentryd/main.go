@@ -47,6 +47,12 @@ import (
 	"sentry/internal/sim"
 )
 
+// readHeaderTimeout stops a stalled client pinning a connection; on a
+// keep-alive connection it starts only when the next request's bytes
+// arrive. No IdleTimeout: closing an idle keep-alive connection fails the
+// client's next POST, which Go's transport does not replay.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		devices     = flag.Int("devices", 8, "logical device population")
@@ -57,7 +63,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "admission-control token count; 0 = unbounded")
 		squeeze     = flag.Int("squeeze-every", 0, "squeeze iRAM of every Nth device at boot; 0 = off")
 		diskKB      = flag.Int("disk-kb", 64, "encrypted-disk size per device (KB)")
-		noDelta     = flag.Bool("no-delta", false, "park full snapshots instead of deltas against the boot image (more memory, identical behavior)")
 		soak        = flag.Bool("soak", false, "run the chaos soak, print the JSON report, and exit")
 		soakOps     = flag.Int("ops", 300, "ops per device in -soak mode")
 		listen      = flag.String("listen", "127.0.0.1:8473", "API/probe listen address (serve mode)")
@@ -68,7 +73,7 @@ func main() {
 	if *soak {
 		rep, err := fleet.RunSoak(fleet.SoakConfig{
 			Devices: *devices, OpsPerDevice: *soakOps, Seed: *seed, Faults: *faultStr,
-			ResidentCap: *residentCap, Shards: *shards, NoDelta: *noDelta,
+			ResidentCap: *residentCap, Shards: *shards,
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -85,7 +90,7 @@ func main() {
 	if !ok {
 		fatalf("unknown fault profile %q", *faultStr)
 	}
-	fleetOpts := []fleet.Option{
+	f := fleet.Open(*devices,
 		fleet.WithSeed(*seed),
 		fleet.WithFaults(prof),
 		fleet.WithShards(*shards),
@@ -93,11 +98,7 @@ func main() {
 		fleet.WithMaxInflight(*maxInflight),
 		fleet.WithSqueezeEvery(*squeeze),
 		fleet.WithDiskKB(*diskKB),
-	}
-	if *noDelta {
-		fleetOpts = append(fleetOpts, fleet.WithNoDelta())
-	}
-	f := fleet.Open(*devices, fleetOpts...)
+	)
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", fleet.NewHandler(f))
@@ -116,7 +117,7 @@ func main() {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, f.Metrics().Dump())
 	})
-	srv := &http.Server{Addr: *listen, Handler: mux}
+	srv := &http.Server{Addr: *listen, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fatalf("listen %s: %v", *listen, err)

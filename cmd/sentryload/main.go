@@ -109,7 +109,7 @@ func main() {
 		fmt.Printf("wallclock: serve %.0f ops/s recorded to %s\n", run.OpsPerSec, *wallOut)
 	}
 	if *wallGuard != "" {
-		msg, err := wallclock.GuardThroughput(*wallGuard, "serve", run)
+		msg, err := wallclock.Guard(*wallGuard, "serve", run)
 		if err != nil {
 			fatalf("wallclock-guard: %v", err)
 		}

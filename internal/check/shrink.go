@@ -2,15 +2,6 @@ package check
 
 import "sentry/internal/snapshot"
 
-// SnapshotEnabled gates the checkpoint/fork fast path through shrinking:
-// candidate replays fork a captured post-boot world (and a live checkpoint
-// of the surviving op prefix) instead of cold-booting per candidate. The
-// sentrybench -snapshot=off escape hatch clears it; verdicts and shrunk
-// reproducers are identical either way (snapshot_identity_test.go), only
-// wall-clock differs. Set it before starting campaigns — it is read
-// concurrently by parallel harnesses.
-var SnapshotEnabled = true
-
 // maxShrinkReplays bounds the replay budget one shrink may spend. Schedules
 // are at most a few hundred ops and each replay is cheap, so the bound is
 // generous; it exists so a pathological flip-flopping candidate set cannot
@@ -43,8 +34,8 @@ func replayFrom(w *World, ops Schedule) *Violation {
 // delta debugging: repeatedly try dropping contiguous chunks (halving the
 // chunk size down to single ops) and keep any candidate that still
 // violates. Every candidate is validated by a replay from the (cfg, seed)
-// boot state — a cold boot per candidate, or, when SnapshotEnabled, a fork
-// of one captured post-boot world, which is byte-identical and skips the
+// boot state — a fork of one captured post-boot world, which is
+// byte-identical to a cold boot (snapshot_identity_test.go) and skips the
 // boot cost. Within a sweep the surviving prefix cur[:start] is additionally
 // kept advanced in a live checkpoint world, so each candidate forks the
 // checkpoint and replays only its suffix.
@@ -57,17 +48,14 @@ func replayFrom(w *World, ops Schedule) *Violation {
 // Returns the minimal schedule and its violation, or (sched, nil) if the
 // input does not violate in the first place.
 func Shrink(cfg Config, seed int64, sched Schedule) (Schedule, *Violation) {
-	var boot *snapshot.Snapshot[*World]
-	if SnapshotEnabled {
-		boot = snapshot.Capture(NewWorld(cfg, seed))
-	}
-	return ShrinkFrom(boot, cfg, seed, sched)
+	return ShrinkFrom(snapshot.Capture(NewWorld(cfg, seed)), cfg, seed, sched)
 }
 
 // ShrinkFrom is Shrink reusing an already-captured post-boot snapshot of
 // NewWorld(cfg, seed) — the explorer hands its tree's root checkpoint in, so
 // shrinking a violation found among millions of schedules never re-boots.
-// A nil boot falls back to a cold boot per candidate.
+// A nil boot falls back to a cold boot per candidate, the reference the
+// snapshot identity test holds the fork path to.
 func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched Schedule) (Schedule, *Violation) {
 	replays := 0
 	violates := func(s Schedule) *Violation {

@@ -1,53 +1,50 @@
 package check
 
 import (
-	"fmt"
 	"testing"
 
 	"sentry/internal/faults"
 )
 
-// TestSnapshotOnOffIdentity runs the full checking pipeline — an adversarial
-// campaign (guaranteed violations, so shrinking runs) plus the positive
-// controls — once through the checkpoint/fork fast path and once with it
-// disabled (the sentrybench -snapshot=off escape hatch), and requires the
-// verdicts, violation clauses, and shrunk repro lines to be identical.
-// Snapshots may only change wall-clock, never results.
+// TestSnapshotOnOffIdentity holds the checkpoint/fork shrinker to its
+// cold-boot reference: for every violating schedule among seeds 1–10 of
+// the adversarial campaign and of the three positive controls, Shrink
+// (candidates fork a captured post-boot world and a live prefix
+// checkpoint) and ShrinkFrom(nil, …) (a cold boot per candidate) must
+// return the same minimal schedule and the same violation. Snapshots may
+// only change wall-clock, never results.
 func TestSnapshotOnOffIdentity(t *testing.T) {
-	old := SnapshotEnabled
-	defer func() { SnapshotEnabled = old }()
-
-	collect := func() []string {
-		var out []string
-		adv, _ := faults.ByName("adversarial")
-		cr := Campaign(Config{Platform: "tegra3", Defences: AllDefences(), Faults: adv, Steps: 60}, 1, 10)
-		out = append(out, fmt.Sprintf("campaign violations=%d integrity=%d",
-			cr.ViolationSeeds, len(cr.IntegrityFailures)))
-		if cr.Repro != nil {
-			out = append(out, cr.Repro.String(), cr.Repro.Violation.String())
-		}
-		for _, ctl := range Controls() {
-			r, err := RunControl("tegra3", ctl.Name, 32, 40)
-			if err != nil {
-				t.Fatalf("control %s (snapshot=%v): %v", ctl.Name, SnapshotEnabled, err)
+	adv, _ := faults.ByName("adversarial")
+	cfgs := []Config{{Platform: "tegra3", Defences: AllDefences(), Faults: adv, Steps: 60}}
+	for _, ctl := range Controls() {
+		cfgs = append(cfgs, Config{Platform: "tegra3", Defences: ctl.Defences, Faults: faults.None(), Steps: 40})
+	}
+	shrunk := 0
+	for _, cfg := range cfgs {
+		for seed := int64(1); seed <= 10; seed++ {
+			sched, rr := Run(cfg, seed)
+			v := rr.Violation
+			if v == nil {
+				continue
 			}
-			out = append(out, r.String(), r.Violation.String())
-		}
-		return out
-	}
-
-	SnapshotEnabled = true
-	on := collect()
-	SnapshotEnabled = false
-	off := collect()
-
-	if len(on) != len(off) {
-		t.Fatalf("result counts differ: snapshot on %d lines, off %d lines\non:  %q\noff: %q",
-			len(on), len(off), on, off)
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Errorf("line %d differs:\n  snapshot on:  %s\n  snapshot off: %s", i, on[i], off[i])
+			if v.Step > 0 && v.Step <= len(sched) {
+				sched = sched[:v.Step]
+			}
+			forked, fv := Shrink(cfg, seed, sched)
+			cold, cv := ShrinkFrom(nil, cfg, seed, sched)
+			if fv == nil || cv == nil {
+				t.Fatalf("%s seed %d: shrink lost the violation (fork %v, cold %v)",
+					defencesString(cfg.Defences), seed, fv, cv)
+			}
+			if forked.String() != cold.String() || fv.String() != cv.String() {
+				t.Errorf("%s seed %d: fork and cold-boot shrinks differ:\n  fork: %s (%s)\n  cold: %s (%s)",
+					defencesString(cfg.Defences), seed, forked, fv, cold, cv)
+			}
+			shrunk++
 		}
 	}
+	if shrunk == 0 {
+		t.Fatal("no violating schedule to shrink: the identity check is vacuous")
+	}
+	t.Logf("%d violating schedules shrunk identically", shrunk)
 }

@@ -180,13 +180,6 @@ func (d *device) Deflate(base *sentry.Device) int64 {
 	return d.dev.Deflate(base) + d.looseBytes()
 }
 
-// footprint estimates the device's resting cost in its current encoding —
-// the dense-array measure for a full park, on the same scale Deflate
-// reports for a delta park.
-func (d *device) footprint() int64 {
-	return d.dev.FootprintBytes() + d.looseBytes()
-}
-
 // looseBytes is the device state outside the SoC: materialised disk sectors
 // and the written-sector shadow.
 func (d *device) looseBytes() int64 {
@@ -308,8 +301,9 @@ func (a *actor) hydrate() {
 // park is the eviction path: deflate the live world to a delta against the
 // fleet's shared base and adopt it into the slot's snapshot (no copy; the
 // next hydration forks a dense reconstruction), so a parked device rests at
-// O(divergence from base) instead of O(everything it ever touched). Under
-// NoDelta the world is adopted whole. A dead or boot-failed world is
+// O(divergence from base) instead of O(everything it ever touched). A live
+// world implies a prior boot, so baseDev is published (the booting actor's
+// baseOnce.Do happened-before this park). A dead or boot-failed world is
 // discarded instead — its terminal state is already recorded on the slot,
 // and a quarantined slot never re-instantiates.
 func (a *actor) park() {
@@ -318,12 +312,7 @@ func (a *actor) park() {
 	}
 	var bytes int64
 	if a.d != nil && !a.d.dead {
-		if base := a.f.deltaBase(); base != nil {
-			a.sl.parked, bytes = snapshot.CaptureDelta[*device, *sentry.Device](a.d, base)
-		} else {
-			a.sl.parked = snapshot.Adopt(a.d)
-			bytes = a.d.footprint()
-		}
+		a.sl.parked, bytes = snapshot.CaptureDelta[*device, *sentry.Device](a.d, a.f.baseDev)
 	} else {
 		a.sl.parked = nil
 	}
@@ -418,10 +407,9 @@ func (a *actor) recoverPanic(rec any) error {
 	return fmt.Errorf("fleet: device %d: %s: %w", a.sl.id, cause, ErrDeviceRestarted)
 }
 
-// reboot boots a fresh device — forked from the fleet's shared post-boot
-// snapshot, or cold when snapshots are disabled. Boot failure is terminal:
-// the device is quarantined (nothing a retry could change about a
-// deterministic boot).
+// reboot boots a fresh device, forked from the fleet's shared post-boot
+// snapshot. Boot failure is terminal: the device is quarantined (nothing a
+// retry could change about a deterministic boot).
 func (a *actor) reboot(why string) {
 	a.sl.boots.Add(1)
 	d, err := a.bootDevice()
@@ -467,10 +455,7 @@ func (sl *slot) addViolation(v string) {
 }
 
 // baseBootSeed derives the simulation seed of the fleet's shared base
-// world from the fleet seed. It is also the seed of every cold boot under
-// NoSnapshots — a cold boot with the base seed replays exactly the world a
-// fork of the base snapshot continues, which is what keeps results
-// byte-identical across the two modes.
+// world from the fleet seed.
 func baseBootSeed(fleetSeed int64) int64 {
 	h := splitmix64(splitmix64(uint64(fleetSeed)) ^ 0x5851f42d4c957f2d)
 	return int64(h &^ (1 << 63))
@@ -510,25 +495,15 @@ func deviceVolKey(base []byte, id DeviceID) []byte {
 // marker, an encrypted disk, and (when configured) a fault injector. The
 // platform boot itself is shared — every device forks the fleet's one base
 // snapshot (built lazily by the first boot anywhere in the fleet) — and
-// only the per-device setup below runs per boot. Under NoSnapshots the
-// base seed is cold-booted instead, which replays the identical world.
+// only the per-device setup below runs per boot.
 func (a *actor) bootDevice() (*device, error) {
 	opt, id := a.f.opt, a.sl.id
 	seed := bootSeed(opt.Seed, id)
-	var sd *sentry.Device
-	if opt.NoSnapshots {
-		var err error
-		sd, err = sentry.Open(sentry.Tegra3, opt.PIN, sentry.WithSeed(baseBootSeed(opt.Seed)))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		base, err := a.f.baseSnapshot()
-		if err != nil {
-			return nil, err
-		}
-		sd = base.Fork()
+	base, err := a.f.baseSnapshot()
+	if err != nil {
+		return nil, err
 	}
+	sd := base.Fork()
 	// The actor goroutine owns this device; bind the metrics registry so
 	// debug/race builds catch any cross-goroutine wiring.
 	sd.Metrics().BindOwner()
@@ -551,7 +526,6 @@ func (a *actor) bootDevice() (*device, error) {
 	}
 	d.fg = sd.Kernel.NewProcess("fg", true, false)
 	d.bg = sd.Kernel.NewProcess("bg", true, true)
-	var err error
 	if d.fgBase, err = sd.Kernel.MapAnon(d.fg, fgPages); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // park over the whole op alphabet) lives in internal/check/delta_test.go;
 // these tests cover the fleet wiring: the parked-bytes gauge, the ≥5×
 // footprint reduction the 10^6-device claim rests on, and report identity
-// between the two encodings under a real soak.
+// between a parking fleet and one that never parks under a real soak.
 
 // waitParks polls until at least n parks have landed. Eviction hands the
 // seat over before the victim's actor finishes draining, so tests that read
@@ -27,16 +27,19 @@ func waitParks(t *testing.T, f *Fleet, n uint64) {
 	}
 }
 
-// measureParkedBytes opens a capped fleet, touches enough devices that most
-// park, and returns (bytes per parked device, parked count).
-func measureParkedBytes(t *testing.T, noDelta bool) (int64, int) {
+// footprint is the device's dense resting cost — what parking the whole
+// world instead of its delta would pin — on the same scale Deflate reports.
+func (d *device) footprint() int64 {
+	return d.dev.FootprintBytes() + d.looseBytes()
+}
+
+// driveFootprintTraffic opens a fleet of the given resident cap and gives
+// 192 devices spread over 4096 logical IDs divergence beyond the boot
+// image: a touched page and a written disk sector each.
+func driveFootprintTraffic(t *testing.T, residentCap int) (*Fleet, int) {
 	t.Helper()
-	opts := []Option{WithSeed(11), WithShards(4), WithResidentCap(32)}
-	if noDelta {
-		opts = append(opts, WithNoDelta())
-	}
-	f := Open(4096, opts...)
-	defer f.Stop()
+	f := Open(4096, WithSeed(11), WithShards(4), WithResidentCap(residentCap))
+	t.Cleanup(f.Stop)
 	ctx := context.Background()
 	const touched = 192
 	for i := 0; i < touched; i++ {
@@ -44,12 +47,21 @@ func measureParkedBytes(t *testing.T, noDelta bool) (int64, int) {
 		if _, err := f.Do(ctx, id, Op{Code: OpTouch, Arg: uint64(i)}); err != nil {
 			t.Fatalf("touch %d: %v", id, err)
 		}
-		// Divergence beyond the boot image: a written disk sector.
 		if _, err := f.Do(ctx, id, Op{Code: OpDiskWrite, Arg: uint64(i)}); err != nil {
 			t.Fatalf("disk write %d: %v", id, err)
 		}
 	}
-	h, err := f.Health(ctx)
+	return f, touched
+}
+
+// TestDeltaParkingShrinksParkedBytes is the fleet-level memory claim: a
+// delta-parked device rests at least 5x below the same device held dense.
+// The delta figure is the parked-bytes gauge of a capped fleet; the dense
+// figure is the footprint of the same traffic on an uncapped fleet, whose
+// devices never park.
+func TestDeltaParkingShrinksParkedBytes(t *testing.T) {
+	capped, touched := driveFootprintTraffic(t, 32)
+	h, err := capped.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,34 +69,41 @@ func measureParkedBytes(t *testing.T, noDelta bool) (int64, int) {
 	if parked <= 0 {
 		t.Fatalf("nothing parked (touched %d, resident %d)", h.Touched, h.Resident)
 	}
-	bytes := f.Metrics().GaugeValue(MetricParkedBytes)
-	if bytes <= 0 {
-		t.Fatalf("parked-bytes gauge = %d with %d parked devices", bytes, parked)
+	// The gauge is complete only once every eviction's park has landed.
+	waitParks(t, capped, uint64(parked))
+	deltaPer := capped.Metrics().GaugeValue(MetricParkedBytes) / int64(parked)
+	capped.Stop()
+	if deltaPer <= 0 {
+		t.Fatalf("parked-bytes gauge reads %d B/device with %d parked devices", deltaPer, parked)
 	}
-	return bytes / int64(parked), parked
+
+	dense, _ := driveFootprintTraffic(t, 0)
+	dense.Stop()
+	var total int64
+	var n int
+	for _, sh := range dense.top.Load().shards {
+		for _, sl := range sh.slots {
+			total += sl.act.d.footprint()
+			n++
+		}
+	}
+	if n != touched {
+		t.Fatalf("uncapped fleet holds %d devices, want %d", n, touched)
+	}
+	densePer := total / int64(n)
+	if densePer < 5*deltaPer {
+		t.Fatalf("delta parking reduction < 5x: dense %d B/device, delta %d B/device",
+			densePer, deltaPer)
+	}
+	t.Logf("parked footprint: dense %d B/device, delta %d B/device (%.1fx)",
+		densePer, deltaPer, float64(densePer)/float64(deltaPer))
 }
 
-// TestDeltaParkingShrinksParkedBytes is the fleet-level memory claim: a
-// delta-parked device rests at least 5x below a full-parked one, measured by
-// the parked-bytes gauge over identical traffic.
-func TestDeltaParkingShrinksParkedBytes(t *testing.T) {
-	deltaPer, deltaParked := measureParkedBytes(t, false)
-	fullPer, fullParked := measureParkedBytes(t, true)
-	if deltaParked != fullParked {
-		t.Fatalf("parked counts diverged: delta %d, full %d", deltaParked, fullParked)
-	}
-	if fullPer < 5*deltaPer {
-		t.Fatalf("delta parking reduction < 5x: full %d B/device, delta %d B/device",
-			fullPer, deltaPer)
-	}
-	t.Logf("parked footprint: full %d B/device, delta %d B/device (%.1fx)",
-		fullPer, deltaPer, float64(fullPer)/float64(deltaPer))
-}
-
-// TestDeltaParkSoakIdentical runs the same capped chaos soak with delta and
-// full parking: the reports — every ledger digest, retry count, and failure
-// class — must be byte-identical. Park encoding is a memory decision, never
-// a behavioral one.
+// TestDeltaParkSoakIdentical runs the same chaos soak on a capped fleet,
+// whose devices delta-park and hydrate mid-soak, and on an uncapped one,
+// whose devices never park: the reports — every ledger digest, retry
+// count, and failure class — must be byte-identical. Parking is a memory
+// decision, never a behavioral one.
 func TestDeltaParkSoakIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak comparison skipped in -short")
@@ -101,8 +120,8 @@ func TestDeltaParkSoakIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoDelta = true
-	full, err := RunSoak(cfg)
+	cfg.ResidentCap = 0
+	resident, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +129,9 @@ func TestDeltaParkSoakIdentical(t *testing.T) {
 		t.Fatalf("delta soak failed: %v / %v", delta.Problems, delta.Violations)
 	}
 	dj, _ := json.MarshalIndent(delta, "", " ")
-	fj, _ := json.MarshalIndent(full, "", " ")
-	if string(dj) != string(fj) {
-		t.Fatalf("delta vs full park reports diverged:\ndelta: %s\nfull: %s", dj, fj)
+	rj, _ := json.MarshalIndent(resident, "", " ")
+	if string(dj) != string(rj) {
+		t.Fatalf("delta-park vs never-parked reports diverged:\ndelta: %s\nresident: %s", dj, rj)
 	}
 }
 

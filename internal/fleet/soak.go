@@ -33,15 +33,6 @@ type SoakConfig struct {
 	// report stays deterministic).
 	OpTimeout time.Duration
 
-	// NoSnapshots forwards to Options.NoSnapshots: reboots re-run the full
-	// boot sequence instead of forking the post-boot snapshot.
-	NoSnapshots bool
-
-	// NoDelta forwards to Options.NoDelta: evicted devices park as full
-	// snapshots instead of deltas against the shared base. Like the
-	// residency knobs, it never changes the report, only memory.
-	NoDelta bool
-
 	// ResidentCap and Shards forward to the fleet options (RunSoak only —
 	// SoakOn drives whatever fleet sits behind its Client). Zero keeps the
 	// defaults (unbounded residency, 8 shards).
@@ -236,20 +227,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown fault profile %q", cfg.Faults)
 	}
-	opts := []Option{
+	f := Open(cfg.Devices,
 		WithSeed(cfg.Seed),
 		WithFaults(prof),
 		WithSqueezeEvery(cfg.SqueezeEvery),
 		WithShards(nonZero(cfg.Shards, 8)),
 		WithResidentCap(cfg.ResidentCap),
-	}
-	if cfg.NoSnapshots {
-		opts = append(opts, WithNoSnapshots())
-	}
-	if cfg.NoDelta {
-		opts = append(opts, WithNoDelta())
-	}
-	f := Open(cfg.Devices, opts...)
+	)
 
 	recs := driveSoak(f, cfg)
 	f.Stop()

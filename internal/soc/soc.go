@@ -283,7 +283,7 @@ func (s *SoC) Deflate(base *SoC) int64 {
 // FootprintBytes estimates the platform's resting memory cost in its
 // current encoding, on the same scale Deflate reports: resident page bytes
 // of both stores plus the L2's footprint (dense arrays, or the sparse delta
-// once deflated) plus the flat-struct constant. A full-parked platform is
+// once deflated) plus the flat-struct constant. A dense (live) platform is
 // measured by this; a delta-parked one by Deflate's return — the ratio is
 // the fleet's bytes-per-parked-device reduction.
 func (s *SoC) FootprintBytes() int64 {

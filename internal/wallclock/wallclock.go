@@ -1,15 +1,16 @@
 // Package wallclock reads, updates, and guards BENCH_wallclock.json — the
 // repo's recorded wall-clock trajectory. Records are keyed by run kind
-// ("serial", "parallel", "check", "serve"); each tool records its own kind
-// and the CI guards compare fresh runs against the checked-in record with a
-// fixed headroom, so a real regression fails loudly while normal host noise
-// passes.
+// ("serial", "parallel", "check", "explore", "explore-baseline", "scale",
+// "serve"); each tool records its own kind, and Guard holds a fresh run to
+// the rows of one table of bounds, so a real regression fails loudly while
+// normal host noise passes.
 package wallclock
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // File is the schema of BENCH_wallclock.json.
@@ -19,22 +20,57 @@ type File struct {
 }
 
 // Run is one recorded run. TotalSec is the wall clock; OpsPerSec is set by
-// throughput kinds ("serve"); Experiments is the per-experiment breakdown
-// of -exp all runs; the BytesPerDevice pair is set by the memory kind
-// ("scale") — the resting cost of a delta-parked device and of the same
-// device parked as a full snapshot.
+// throughput kinds ("serve", "explore"); Experiments is the per-experiment
+// breakdown of -exp all runs; BytesPerDevice is set by the memory kind
+// ("scale") — the resting cost of a delta-parked device.
 type Run struct {
-	Parallelism        int                `json:"parallelism"`
-	TotalSec           float64            `json:"total_seconds"`
-	OpsPerSec          float64            `json:"ops_per_sec,omitempty"`
-	Experiments        map[string]float64 `json:"experiments,omitempty"`
-	BytesPerDevice     int64              `json:"bytes_per_device,omitempty"`
-	BytesPerDeviceFull int64              `json:"bytes_per_device_full,omitempty"`
+	Parallelism    int                `json:"parallelism"`
+	TotalSec       float64            `json:"total_seconds"`
+	OpsPerSec      float64            `json:"ops_per_sec,omitempty"`
+	Experiments    map[string]float64 `json:"experiments,omitempty"`
+	BytesPerDevice int64              `json:"bytes_per_device,omitempty"`
 }
 
 // Headroom is how much worse than the checked-in record a run may be before
 // a guard fails: wall clocks are noisy; 25% is regression, not noise.
 const Headroom = 1.25
+
+// bound is one row of the guard table: a fresh run of kind must keep metric
+// (a Run JSON key) on the better side of a bound set by a checked-in record
+// — kind's own, Headroom away in the worse direction, or with base set,
+// ratio times base's.
+type bound struct {
+	kind, metric string
+	higher       bool // higher is better
+	base         string
+	ratio        float64
+}
+
+// table holds every guard. The explorer's base row keeps the snapshot tree
+// honest: a fresh sweep must stay >=10x the recorded seed-replay baseline,
+// so the speedup claim cannot rot while the absolute floor still holds.
+var table = []bound{
+	{"serial", "total_seconds", false, "", 0},
+	{"parallel", "total_seconds", false, "", 0},
+	{"check", "total_seconds", false, "", 0},
+	{"explore", "ops_per_sec", true, "", 0},
+	{"explore", "ops_per_sec", true, "explore-baseline", 10},
+	{"explore-baseline", "ops_per_sec", true, "", 0},
+	{"scale", "bytes_per_device", false, "", 0},
+	{"serve", "ops_per_sec", true, "", 0},
+}
+
+func (r *Run) metric(name string) float64 {
+	switch name {
+	case "total_seconds":
+		return r.TotalSec
+	case "ops_per_sec":
+		return r.OpsPerSec
+	case "bytes_per_device":
+		return float64(r.BytesPerDevice)
+	}
+	panic("wallclock: unknown metric " + name)
+}
 
 // Record merges one run into the JSON record file, preserving the other
 // kinds already recorded there (read-modify-write).
@@ -70,81 +106,44 @@ func load(path, kind string) (*Run, error) {
 	return rec, nil
 }
 
-// Guard fails (returns an error) if run took >Headroom times the recorded
-// wall clock of the same kind. On success it returns a one-line summary.
+// Guard holds run to every table row of its kind and fails (returns an
+// error) on the first bound it breaks. On success it returns one summary
+// per row, joined by "; ".
 func Guard(path, kind string, run *Run) (string, error) {
-	rec, err := load(path, kind)
-	if err != nil {
-		return "", err
+	var msgs []string
+	for _, b := range table {
+		if b.kind != kind {
+			continue
+		}
+		base, factor := kind, Headroom
+		if b.base != "" {
+			base, factor = b.base, b.ratio
+		}
+		rec, err := load(path, base)
+		if err != nil {
+			return "", err
+		}
+		want, got := rec.metric(b.metric), run.metric(b.metric)
+		if want <= 0 {
+			return "", fmt.Errorf("%s record in %s has no %s", base, path, b.metric)
+		}
+		limit := want * factor
+		if b.higher && b.base == "" {
+			limit = want / factor
+		}
+		ok, side := got <= limit, "ceiling"
+		if b.higher {
+			ok, side = got >= limit, "floor"
+		}
+		msg := fmt.Sprintf("%s %s %.6g, %s %.6g (recorded %s %.6g, factor %g)",
+			kind, b.metric, got, side, limit, base, want, factor)
+		if !ok {
+			return "", fmt.Errorf("%s — regression", msg)
+		}
+		msgs = append(msgs, msg)
 	}
-	limit := rec.TotalSec * Headroom
-	if run.TotalSec > limit {
-		return "", fmt.Errorf("%s total %.2fs exceeds %.2fs (recorded %.2fs + 25%% headroom) — perf regression",
-			kind, run.TotalSec, limit, rec.TotalSec)
+	if msgs == nil {
+		return "", fmt.Errorf("no guard for run kind %q", kind)
 	}
-	return fmt.Sprintf("%s total %.2fs within %.2fs budget (recorded %.2fs + 25%% headroom)",
-		kind, run.TotalSec, limit, rec.TotalSec), nil
-}
-
-// GuardRatio fails if run's ops/sec is less than minRatio times the
-// recorded rate of baseKind. The explorer's CI guard uses it to keep the
-// snapshot tree honest: a fresh tree sweep must stay >=10x the recorded
-// seed-replay baseline, so the speedup claim cannot silently rot while the
-// absolute floor (GuardThroughput) is still met.
-func GuardRatio(path, baseKind string, minRatio float64, run *Run) (string, error) {
-	rec, err := load(path, baseKind)
-	if err != nil {
-		return "", err
-	}
-	if rec.OpsPerSec <= 0 {
-		return "", fmt.Errorf("%s record in %s has no ops/sec", baseKind, path)
-	}
-	floor := rec.OpsPerSec * minRatio
-	if run.OpsPerSec < floor {
-		return "", fmt.Errorf("throughput %.0f/s is %.1fx the recorded %s rate %.0f/s — below the %.0fx floor",
-			run.OpsPerSec, run.OpsPerSec/rec.OpsPerSec, baseKind, rec.OpsPerSec, minRatio)
-	}
-	return fmt.Sprintf("throughput %.0f/s is %.1fx the recorded %s rate %.0f/s (floor %.0fx)",
-		run.OpsPerSec, run.OpsPerSec/rec.OpsPerSec, baseKind, rec.OpsPerSec, minRatio), nil
-}
-
-// GuardBytes fails if run's resting bytes per parked device grew more than
-// Headroom over the recorded figure — the memory guard behind the
-// 10^6-logical-devices capacity claim. (The companion >=5x-reduction check
-// compares the run's own delta and full measurements and lives in the
-// driver, since both numbers are measured fresh.)
-func GuardBytes(path, kind string, run *Run) (string, error) {
-	rec, err := load(path, kind)
-	if err != nil {
-		return "", err
-	}
-	if rec.BytesPerDevice <= 0 {
-		return "", fmt.Errorf("%s record in %s has no bytes/device", kind, path)
-	}
-	limit := float64(rec.BytesPerDevice) * Headroom
-	if float64(run.BytesPerDevice) > limit {
-		return "", fmt.Errorf("%s parked footprint %d B/device exceeds %.0f B (recorded %d + 25%% headroom) — memory regression",
-			kind, run.BytesPerDevice, limit, rec.BytesPerDevice)
-	}
-	return fmt.Sprintf("%s parked footprint %d B/device within %.0f B budget (recorded %d + 25%% headroom)",
-		kind, run.BytesPerDevice, limit, rec.BytesPerDevice), nil
-}
-
-// GuardThroughput fails if run's ops/sec fell below the recorded rate
-// divided by Headroom — the floor the serving path must sustain.
-func GuardThroughput(path, kind string, run *Run) (string, error) {
-	rec, err := load(path, kind)
-	if err != nil {
-		return "", err
-	}
-	if rec.OpsPerSec <= 0 {
-		return "", fmt.Errorf("%s record in %s has no ops/sec", kind, path)
-	}
-	floor := rec.OpsPerSec / Headroom
-	if run.OpsPerSec < floor {
-		return "", fmt.Errorf("%s throughput %.0f ops/s below %.0f ops/s floor (recorded %.0f / 25%% headroom) — perf regression",
-			kind, run.OpsPerSec, floor, rec.OpsPerSec)
-	}
-	return fmt.Sprintf("%s throughput %.0f ops/s above %.0f ops/s floor (recorded %.0f / 25%% headroom)",
-		kind, run.OpsPerSec, floor, rec.OpsPerSec), nil
+	return strings.Join(msgs, "; "), nil
 }

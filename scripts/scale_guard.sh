@@ -8,10 +8,12 @@
 #
 # Every mode runs sentrybench -fleet-scale, which itself enforces the
 # behavioral half of the capacity claim (delta-parked and mid-reshard soaks
-# must report byte-identically to the plain soak) and the >=5x
-# delta-vs-full reduction floor. record writes the measured delta and full
-# bytes/device into the keyed "scale" record of BENCH_wallclock.json;
-# guard holds a fresh measurement to the recorded figure + 25% headroom;
+# must report byte-identically to a soak whose devices never park). The
+# >=5x delta-vs-dense reduction floor is TestDeltaParkingShrinksParkedBytes
+# (internal/fleet), run by tier-1 and the CI scale job. record writes the
+# measured bytes/device into the keyed "scale" record of
+# BENCH_wallclock.json; guard holds a fresh measurement to the recorded
+# figure + 25% headroom;
 # smoke runs the whole check twice and diffs the deterministic "scale:"
 # lines, so a nondeterministic park encoding cannot slip past the guard by
 # landing under the headroom on a lucky run.
