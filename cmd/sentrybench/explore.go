@@ -8,7 +8,6 @@ import (
 	"sentry/internal/check"
 	"sentry/internal/check/explore"
 	"sentry/internal/faults"
-	"sentry/internal/wallclock"
 )
 
 // controlBudget and controlSeeds bound the positive-control search: each
@@ -20,14 +19,17 @@ const (
 	controlSeeds  = 4
 )
 
-// exploreResult carries what main needs for wallclock accounting: the
-// overall verdict and the defended-sweep throughput (controls excluded —
-// they stop at the first violating seed, so their rate says nothing).
+// exploreResult carries the overall verdict and the defended-sweep
+// throughput (controls excluded — they stop at the first violating seed, so
+// their rate says nothing).
 type exploreResult struct {
 	ok        bool
 	schedules uint64
 	elapsed   time.Duration
 }
+
+// rate is the defended sweeps' throughput in schedules/sec.
+func (r exploreResult) rate() float64 { return float64(r.schedules) / r.elapsed.Seconds() }
 
 // runExplore drives the prefix-sharing schedule explorer the way runCheck
 // drives the campaign: per platform, a defended sweep that must stay clean,
@@ -155,14 +157,4 @@ func mergeCorpus(path string, lines []string) error {
 		return err
 	}
 	return explore.SaveCorpus(path, "sentrybench -explore", append(existing, lines...))
-}
-
-// exploreWallclock converts a finished explore run into the keyed wallclock
-// record: throughput is schedules/sec over the defended sweeps only.
-func exploreWallclock(res exploreResult, workers int, total time.Duration) *wallclock.Run {
-	return &wallclock.Run{
-		Parallelism: workers,
-		TotalSec:    total.Seconds(),
-		OpsPerSec:   float64(res.schedules) / res.elapsed.Seconds(),
-	}
 }

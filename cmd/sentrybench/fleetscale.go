@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sentry/internal/fleet"
-	"sentry/internal/wallclock"
 )
 
 // Fixed geometry for the parked-footprint measurement: a capped fleet where
@@ -31,56 +30,47 @@ const scaleSoakCap = 16
 // the two memory/topology mechanisms of the 10^6-device fleet are
 // behaviorally invisible (delta-parked and reshard-interrupted soaks report
 // byte-identically to a soak whose devices never park) and measures what a
-// parked device costs at rest. Every "scale:" line is deterministic for a
-// fixed seed. The measured footprint is recorded to / guarded against the
-// "scale" record of BENCH_wallclock.json; the >=5x reduction over a dense
-// device is pinned by TestDeltaParkingShrinksParkedBytes.
-func runFleetScale(devices, ops int, seed int64, wallOut, wallGuard string) bool {
-	start := time.Now()
+// parked device costs at rest, which it returns. Every "scale:" line is
+// deterministic for a fixed seed. The footprint is the "scale" record of
+// BENCH_wallclock.json; the >=5x reduction over a dense device is pinned by
+// TestDeltaParkingShrinksParkedBytes.
+func runFleetScale(devices, ops int, seed int64) (int64, bool) {
 	cfg := fleet.SoakConfig{
 		Devices: devices, OpsPerDevice: ops, Seed: seed, Faults: "benign", Shards: 4,
 	}
 
 	plain, ok := soakJSON(cfg, scaleSoakCap, false)
 	if !ok {
-		return false
+		return 0, false
 	}
 	resident, ok := soakJSON(cfg, 0, false)
 	if !ok {
-		return false
+		return 0, false
 	}
 	if string(plain) != string(resident) {
 		fmt.Fprintln(os.Stderr, "sentrybench: delta-park and never-parked soak reports diverge")
-		return false
+		return 0, false
 	}
 	fmt.Printf("scale: delta-park == never-parked soak report (%d devices, %d ops each)\n",
 		cfg.Devices, cfg.OpsPerDevice)
 
 	resharded, ok := soakJSON(cfg, scaleSoakCap, true)
 	if !ok {
-		return false
+		return 0, false
 	}
 	if string(plain) != string(resharded) {
 		fmt.Fprintln(os.Stderr, "sentrybench: resharding mid-soak changed the report")
-		return false
+		return 0, false
 	}
 	fmt.Println("scale: reshard 4->8->16 mid-soak report byte-identical")
 
 	perDevice, err := parkedBytesPerDevice(seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sentrybench:", err)
-		return false
+		return 0, false
 	}
 	fmt.Printf("scale: parked footprint delta=%d B/device\n", perDevice)
-
-	run := &wallclock.Run{Parallelism: 1, TotalSec: time.Since(start).Seconds(), BytesPerDevice: perDevice}
-	if wallOut != "" {
-		recordWallclock(wallOut, "scale", seed, run)
-	}
-	if wallGuard != "" {
-		guardWallclock(wallGuard, "scale", run)
-	}
-	return true
+	return perDevice, true
 }
 
 // soakJSON runs the client-observed soak (fleet.SoakOn) against a fleet of

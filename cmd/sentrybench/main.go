@@ -1,4 +1,5 @@
-// Command sentrybench regenerates the paper's tables and figures.
+// Command sentrybench regenerates the paper's tables and figures, and is
+// the repo's one harness for its wall-clock scoreboard.
 //
 // Usage:
 //
@@ -7,21 +8,24 @@
 //	sentrybench -exp all                # run everything
 //	sentrybench -exp all -j 0           # ... on a GOMAXPROCS-wide worker pool
 //	sentrybench -exp fig2 -seed 7       # different simulation seed
-//	sentrybench -exp all -wallclock BENCH_wallclock.json        # record timings (serial or parallel by -j)
-//	sentrybench -exp all -wallclock-guard BENCH_wallclock.json  # fail on regression
-//	sentrybench -check -wallclock-guard BENCH_wallclock.json    # fail if the checker outgrows its budget
 //	sentrybench -check -seeds 256       # invariant model-checker campaign
 //	sentrybench -check -faults benign   # ... with benign fault injection
 //	sentrybench -check -j 0             # ... campaign seeds on a worker pool
 //	sentrybench -attacks -seeds 24      # cache-timing adversary sweep: per-profile leak verdicts
 //	sentrybench -dfa -seeds 24          # fault-injection sweep: DFA key recovery vs placements and countermeasures
 //	sentrybench -explore -explore-budget 100000 -j 0   # prefix-sharing schedule explorer
-//	sentrybench -explore -explore-baseline            # ... seed-replay baseline, same coverage
 //	sentrybench -explore -explore-corpus EXPLORE_corpus.txt        # seed the sweep from a corpus
 //	sentrybench -explore -explore-corpus-out EXPLORE_corpus.txt    # bank interesting prefixes
 //	sentrybench -fleet-soak -devices 32 -ops 300 -faults benign  # fleet chaos soak (JSON report)
+//	sentrybench -fleet-soak -url http://127.0.0.1:8473 -devices 8 -ops 100 -faults benign  # ... against a running sentryd
 //	sentrybench -fleet-scale -devices 24 -ops 40   # capacity smoke: delta-park + reshard equivalence, parked-bytes measurement
 //	sentrybench -replay "platform=tegra3 defences=no-lock-flush faults=none seed=4 ops=pressure:9360834,lock:12083332"
+//	sentrybench -record BENCH_wallclock.json   # re-record every scoreboard kind
+//	sentrybench -guard BENCH_wallclock.json    # fail if a fresh run broke a guard-table row
+//
+// -record and -guard make the fixed run behind each kind of the
+// internal/wallclock guard table (see runners); the modes above only run
+// and print.
 package main
 
 import (
@@ -33,50 +37,23 @@ import (
 
 	"sentry/internal/bench"
 	"sentry/internal/obs"
-	"sentry/internal/wallclock"
 )
-
-// runKind names the BENCH_wallclock.json record a run updates or is guarded
-// against — "serial" for -j 1, "parallel" otherwise; the schema and guard
-// semantics live in internal/wallclock.
-func runKind(parallel int) string {
-	if parallel == 1 {
-		return "serial"
-	}
-	return "parallel"
-}
-
-func recordWallclock(path, kind string, seed int64, run *wallclock.Run) {
-	if err := wallclock.Record(path, kind, seed, run); err != nil {
-		fatalf("wallclock: %v", err)
-	}
-	fmt.Printf("wallclock: %s run %.2fs recorded to %s\n", kind, run.TotalSec, path)
-}
-
-func guardWallclock(path, kind string, run *wallclock.Run) {
-	msg, err := wallclock.Guard(path, kind, run)
-	if err != nil {
-		fatalf("wallclock-guard: %v", err)
-	}
-	fmt.Println("wallclock-guard:", msg)
-}
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (table2..table4, fig2..fig12, anchors, ablation-*) or 'all'")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		list      = flag.Bool("list", false, "list available experiments")
-		parallel  = flag.Int("j", 1, "worker-pool width for -exp all (0 = GOMAXPROCS)")
-		traceOut  = flag.String("trace", "", "write a JSONL event trace of all experiment activity to this file")
-		wallOut   = flag.String("wallclock", "", "write per-experiment wall-clock timings (JSON) to this file")
-		wallGuard = flag.String("wallclock-guard", "", "hold this run to its kind's guard-table bounds against a recorded JSON file; exit non-zero on regression")
+		exp      = flag.String("exp", "", "experiment id (table2..table4, fig2..fig12, anchors, ablation-*) or 'all'")
+		seed     = flag.Int64("seed", 1, "simulation seed")
+		list     = flag.Bool("list", false, "list available experiments")
+		parallel = flag.Int("j", 1, "worker-pool width for -exp all (0 = GOMAXPROCS)")
+		traceOut = flag.String("trace", "", "write a JSONL event trace of all experiment activity to this file")
+		record   = flag.String("record", "", "make every scoreboard run, write its record to this JSON file, and hold the fresh runs to the guard table")
+		guard    = flag.String("guard", "", "make every scoreboard run but the record-only ones and hold them to the guard table against this JSON file; exit non-zero if a row fails")
 
 		doCheck    = flag.Bool("check", false, "run the invariant model-checker campaign + positive controls")
 		doAttacks  = flag.Bool("attacks", false, "run the cache-timing adversary sweep: per-profile leak verdicts for Prime+Probe, Evict+Reload, and the occupancy probe")
 		doDFA      = flag.Bool("dfa", false, "run the fault-injection adversary sweep: DFA key-recovery verdicts per victim placement and countermeasure")
 		doExplore  = flag.Bool("explore", false, "run the prefix-sharing schedule explorer + positive controls")
 		expBudget  = flag.Int("explore-budget", 100000, "schedules (tree nodes) per defended sweep for -explore")
-		expBase    = flag.Bool("explore-baseline", false, "sweep the identical schedule set by cold seed-replay instead of the snapshot tree (rate baseline)")
 		expCorpus  = flag.String("explore-corpus", "", "corpus file of interesting prefixes to seed -explore with")
 		expCorpOut = flag.String("explore-corpus-out", "", "write prefixes banked by -explore (merged with the file's existing entries) here")
 		seeds      = flag.Int("seeds", 256, "campaign size for -check")
@@ -86,20 +63,33 @@ func main() {
 		replayLine = flag.String("replay", "", "replay a printed repro line and exit")
 
 		fleetSoak  = flag.Bool("fleet-soak", false, "run the fleet service-layer chaos soak and emit a JSON report")
+		soakURL    = flag.String("url", "", "drive -fleet-soak over HTTP against the sentryd at this base URL instead of an in-process fleet")
 		fleetScale = flag.Bool("fleet-scale", false, "run the fleet capacity smoke: delta-park and live-reshard equivalence plus the parked-bytes-per-device measurement")
 		devices    = flag.Int("devices", 32, "fleet size for -fleet-soak / -fleet-scale")
 		soakOps    = flag.Int("ops", 300, "ops per device for -fleet-soak / -fleet-scale")
 	)
 	flag.Parse()
 
+	if *record != "" {
+		if !runScoreboard(*record, true) {
+			os.Exit(1)
+		}
+		return
+	}
+	if *guard != "" {
+		if !runScoreboard(*guard, false) {
+			os.Exit(1)
+		}
+		return
+	}
 	if *fleetSoak {
-		if !runFleetSoak(*devices, *soakOps, *seed, *faultsProf) {
+		if !runFleetSoak(*soakURL, *devices, *soakOps, *seed, *faultsProf) {
 			os.Exit(1)
 		}
 		return
 	}
 	if *fleetScale {
-		if !runFleetScale(*devices, *soakOps, *seed, *wallOut, *wallGuard) {
+		if _, ok := runFleetScale(*devices, *soakOps, *seed); !ok {
 			os.Exit(1)
 		}
 		return
@@ -112,50 +102,30 @@ func main() {
 		return
 	}
 	if *doAttacks {
-		if !runAttacks(*platforms, *seeds, *checkSteps, *seed, *parallel) {
+		if !runSweep(attackSweep(), *platforms, *seeds, *checkSteps, *seed, *parallel) {
 			fatalf("attacks failed")
 		}
 		return
 	}
 	if *doDFA {
-		if !runDFA(*platforms, *seeds, *checkSteps, *seed, *parallel) {
+		if !runSweep(dfaSweep(), *platforms, *seeds, *checkSteps, *seed, *parallel) {
 			fatalf("dfa failed")
 		}
 		return
 	}
 	if *doCheck {
-		start := time.Now()
 		if !runCheck(*platforms, *seeds, *checkSteps, *faultsProf, *seed, *parallel) {
 			fatalf("check failed")
-		}
-		run := &wallclock.Run{Parallelism: *parallel, TotalSec: time.Since(start).Seconds()}
-		if *wallOut != "" {
-			recordWallclock(*wallOut, "check", *seed, run)
-		}
-		if *wallGuard != "" {
-			guardWallclock(*wallGuard, "check", run)
 		}
 		return
 	}
 	if *doExplore {
-		start := time.Now()
 		res := runExplore(*platforms, *expBudget, *parallel, *checkSteps, *faultsProf, *seed,
-			*expBase, *expCorpus, *expCorpOut)
+			false, *expCorpus, *expCorpOut)
 		if !res.ok {
 			fatalf("explore failed")
 		}
-		kind := "explore"
-		if *expBase {
-			kind = "explore-baseline"
-		}
-		run := exploreWallclock(res, *parallel, time.Since(start))
-		fmt.Printf("perf: %s total %.0f sched/s over %d schedules\n", kind, run.OpsPerSec, res.schedules)
-		if *wallOut != "" {
-			recordWallclock(*wallOut, kind, *seed, run)
-		}
-		if *wallGuard != "" {
-			guardWallclock(*wallGuard, kind, run)
-		}
+		fmt.Printf("perf: explore total %.0f sched/s over %d schedules\n", res.rate(), res.schedules)
 		return
 	}
 
@@ -208,22 +178,12 @@ func main() {
 		results = []bench.Result{{Exp: e, Report: r, Err: err, Wall: time.Since(start)}}
 	}
 
-	run := &wallclock.Run{Parallelism: *parallel, Experiments: map[string]float64{}}
 	for _, res := range results {
 		if res.Err != nil {
 			fatalf("%s: %v", res.Exp.ID, res.Err)
 		}
 		fmt.Print(res.Report.String())
 		fmt.Printf("(%s in %v)\n\n", res.Exp.ID, res.Wall.Round(time.Millisecond))
-		run.Experiments[res.Exp.ID] = res.Wall.Seconds()
-		run.TotalSec += res.Wall.Seconds()
-	}
-
-	if *wallOut != "" {
-		recordWallclock(*wallOut, runKind(*parallel), *seed, run)
-	}
-	if *wallGuard != "" {
-		guardWallclock(*wallGuard, runKind(*parallel), run)
 	}
 
 	if tracer != nil {

@@ -120,7 +120,7 @@ type L2 struct {
 	// meta owns slab, lines, validMask, validCount, tags, and victim (the
 	// fields alias it); Release recycles the bundle through a pool so the
 	// model checker's fork-heavy sweeps do not re-allocate ~¾ MB per clone.
-	meta *metaArrays
+	meta      *metaArrays
 	validMask []uint32 // per-set bitmask of ways holding a valid line
 	// validCount[w] is the number of valid lines way w holds — the sum of
 	// validMask bit w over all sets. Maintenance walks consult it to skip

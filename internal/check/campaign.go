@@ -47,7 +47,6 @@ func finishRun(w *World, sched Schedule) RunResult {
 	return RunResult{IntegrityErr: w.IntegrityCheck(), Perturbed: w.Perturbed(), AttackLog: w.AttackLog()}
 }
 
-
 // Repro is a minimal reproducer for a violation: replay Ops against a world
 // built from (Config, Seed) and the same violation fires.
 type Repro struct {

@@ -191,7 +191,7 @@ type explorer struct {
 	resMu      sync.Mutex
 	violations []violationRec
 	bank       map[string]struct{}
-	paths  []check.Schedule
+	paths      []check.Schedule
 
 	schedules, leaves, prunes, nearMisses    atomic.Uint64
 	snapHits, handOffs, replays, replayedOps atomic.Uint64
@@ -234,14 +234,14 @@ func (c *Config) normalise() {
 func newExplorer(cfg Config, collectPaths bool) *explorer {
 	cfg.normalise()
 	e := &explorer{
-		cfg:           cfg,
-		depth:         cfg.Depth,
-		branch:        cfg.Branch,
-		snapBudget:    cfg.SnapBudget,
-		opsExec:       &obs.Counter{},
+		cfg:          cfg,
+		depth:        cfg.Depth,
+		branch:       cfg.Branch,
+		snapBudget:   cfg.SnapBudget,
+		opsExec:      &obs.Counter{},
 		collectPaths: collectPaths,
-		lru:           list.New(),
-		bank:          map[string]struct{}{},
+		lru:          list.New(),
+		bank:         map[string]struct{}{},
 	}
 	e.fcond = sync.NewCond(&e.fmu)
 	e.ccfg = cfg.Check

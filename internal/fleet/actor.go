@@ -549,7 +549,7 @@ func (a *actor) bootDevice() (*device, error) {
 		}
 	}
 
-	if err := d.buildDisk(opt, seed); err != nil {
+	if err := d.buildDisk(seed); err != nil {
 		return nil, err
 	}
 
@@ -575,7 +575,7 @@ func fill(d *device, p *kernel.Process, base mmu.VirtAddr, pages int) error {
 // dedicated AES On SoC instance in iRAM; when iRAM is exhausted the volume
 // degrades to the generic DRAM-arena provider — the classic dm-crypt
 // configuration — and the downgrade is counted, never hidden.
-func (d *device) buildDisk(opt Options, seed int64) error {
+func (d *device) buildDisk(seed int64) error {
 	key := make([]byte, 16)
 	h := uint64(seed)
 	for i := range key {
@@ -597,7 +597,7 @@ func (d *device) buildDisk(opt Options, seed int64) error {
 	default:
 		return err
 	}
-	d.disk = blockdev.NewRAMDisk(d.dev.SoC, uint64(opt.DiskKB)<<10)
+	d.disk = blockdev.NewRAMDisk(d.dev.SoC, diskKB<<10)
 	dm, err := dmcrypt.NewWithProvider(d.disk, d.prov, key)
 	if err != nil {
 		return err

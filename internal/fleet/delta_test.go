@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -97,42 +96,6 @@ func TestDeltaParkingShrinksParkedBytes(t *testing.T) {
 	}
 	t.Logf("parked footprint: dense %d B/device, delta %d B/device (%.1fx)",
 		densePer, deltaPer, float64(densePer)/float64(deltaPer))
-}
-
-// TestDeltaParkSoakIdentical runs the same chaos soak on a capped fleet,
-// whose devices delta-park and hydrate mid-soak, and on an uncapped one,
-// whose devices never park: the reports — every ledger digest, retry
-// count, and failure class — must be byte-identical. Parking is a memory
-// decision, never a behavioral one.
-func TestDeltaParkSoakIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak comparison skipped in -short")
-	}
-	cfg := SoakConfig{
-		Devices:      16,
-		OpsPerDevice: 30,
-		Seed:         7,
-		Faults:       "benign",
-		ResidentCap:  6, // far under Devices: parks and hydrations mid-soak
-		Shards:       4,
-	}
-	delta, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ResidentCap = 0
-	resident, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !delta.Passed() {
-		t.Fatalf("delta soak failed: %v / %v", delta.Problems, delta.Violations)
-	}
-	dj, _ := json.MarshalIndent(delta, "", " ")
-	rj, _ := json.MarshalIndent(resident, "", " ")
-	if string(dj) != string(rj) {
-		t.Fatalf("delta-park vs never-parked reports diverged:\ndelta: %s\nresident: %s", dj, rj)
-	}
 }
 
 // TestParkedBytesGaugeLifecycle: the gauge rises when a live device parks,

@@ -79,10 +79,10 @@ const (
 	MetricParkedBytes = "fleet.parked_bytes"
 )
 
-// Options is the resolved configuration of a Fleet. Construct a fleet with
-// Open and functional options; Options remains exported as the resolved
-// form (and for the deprecated New).
-type Options struct {
+// options is the resolved configuration of a Fleet. Open sets it through
+// the With* functional options; in-package tests and RunSoak set the fields
+// no option reaches directly.
+type options struct {
 	Devices int // logical device population (IDs [0, Devices))
 	Seed    int64
 	PIN     string // unlock PIN for every device (default "4321")
@@ -114,10 +114,6 @@ type Options struct {
 	// gets a fresh injector seeded from the device's boot seed.
 	Faults faults.Profile
 
-	// DefaultTimeout bounds requests whose context carries no deadline
-	// (default 30s) — every request in the system has a deadline.
-	DefaultTimeout time.Duration
-
 	Clock         Clock         // default Wall
 	StallTimeout  time.Duration // watchdog stall threshold (default 2s)
 	WatchdogEvery time.Duration // watchdog scan period (default 250ms)
@@ -126,14 +122,20 @@ type Options struct {
 	// ...) at boot so graceful-degradation paths are exercised; 0 disables.
 	SqueezeEvery int
 
-	DiskKB int // encrypted-disk size per device (default 64)
-
 	// testExec, when set, intercepts ops before the device executes them;
 	// tests use it to inject stalls, panics, and scripted failures.
 	testExec func(a *actor, op Op) (handled bool, res Result, err error)
 }
 
-func (o Options) withDefaults() Options {
+const (
+	// defaultTimeout bounds requests whose context carries no deadline —
+	// every request in the system has a deadline.
+	defaultTimeout = 30 * time.Second
+	// diskKB is the encrypted-disk size per device.
+	diskKB = 64
+)
+
+func (o options) withDefaults() options {
 	if o.Devices <= 0 {
 		o.Devices = 4
 	}
@@ -163,9 +165,6 @@ func (o Options) withDefaults() Options {
 	if o.RestartBudget <= 0 {
 		o.RestartBudget = 3
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
 	if o.Clock == nil {
 		o.Clock = Wall
 	}
@@ -175,67 +174,33 @@ func (o Options) withDefaults() Options {
 	if o.WatchdogEvery <= 0 {
 		o.WatchdogEvery = 250 * time.Millisecond
 	}
-	if o.DiskKB <= 0 {
-		o.DiskKB = 64
-	}
 	return o
 }
 
 // Option configures Open, mirroring sentry.Open's functional options.
-type Option func(*Options)
+type Option func(*options)
 
 // WithSeed sets the fleet simulation seed (default 1).
-func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithPIN sets the unlock PIN of every hosted device.
-func WithPIN(pin string) Option { return func(o *Options) { o.PIN = pin } }
+func WithSeed(seed int64) Option { return func(o *options) { o.Seed = seed } }
 
 // WithShards sets the shard-manager count.
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
+func WithShards(n int) Option { return func(o *options) { o.Shards = n } }
 
 // WithResidentCap bounds live actors fleet-wide; idle devices beyond the
 // cap are parked to per-device snapshots and re-hydrated by fork on demand.
-func WithResidentCap(n int) Option { return func(o *Options) { o.ResidentCap = n } }
+func WithResidentCap(n int) Option { return func(o *options) { o.ResidentCap = n } }
 
 // WithMaxInflight sets the admission-control token count; requests beyond
 // it fail fast with ErrOverload.
-func WithMaxInflight(n int) Option { return func(o *Options) { o.MaxInflight = n } }
-
-// WithMailboxCap sets the per-device queue bound.
-func WithMailboxCap(n int) Option { return func(o *Options) { o.MailboxCap = n } }
-
-// WithMaxAttempts sets the total tries per request (first included).
-func WithMaxAttempts(n int) Option { return func(o *Options) { o.MaxAttempts = n } }
-
-// WithBackoff overrides the retry backoff schedule.
-func WithBackoff(b Backoff) Option { return func(o *Options) { o.Backoff = &b } }
-
-// WithBreaker overrides the per-device circuit-breaker configuration.
-func WithBreaker(cfg BreakerConfig) Option { return func(o *Options) { o.Breaker = cfg } }
-
-// WithRestartBudget sets how many fault-caused restarts a device absorbs
-// before quarantine.
-func WithRestartBudget(n int) Option { return func(o *Options) { o.RestartBudget = n } }
+func WithMaxInflight(n int) Option { return func(o *options) { o.MaxInflight = n } }
 
 // WithFaults sets the per-device fault profile.
-func WithFaults(p faults.Profile) Option { return func(o *Options) { o.Faults = p } }
-
-// WithDefaultTimeout bounds requests that carry no deadline of their own.
-func WithDefaultTimeout(d time.Duration) Option { return func(o *Options) { o.DefaultTimeout = d } }
-
-// WithClock substitutes the time source (tests use a fake).
-func WithClock(c Clock) Option { return func(o *Options) { o.Clock = c } }
-
-// WithSqueezeEvery squeezes the iRAM of every Nth device at boot.
-func WithSqueezeEvery(n int) Option { return func(o *Options) { o.SqueezeEvery = n } }
-
-// WithDiskKB sets the encrypted-disk size per device.
-func WithDiskKB(n int) Option { return func(o *Options) { o.DiskKB = n } }
+func WithFaults(p faults.Profile) Option { return func(o *options) { o.Faults = p } }
 
 // Fleet hosts a population of simulated devices behind the sharded
 // robustness stack. It implements Client.
 type Fleet struct {
-	opt   Options
+	opt   options
 	clock Clock
 	bo    Backoff
 	reg   *obs.Registry
@@ -287,14 +252,14 @@ type Fleet struct {
 // first op: a fresh fleet of 10^6 devices is a few shard tables, nothing
 // more. Stop it with Close (or Stop).
 func Open(n int, opts ...Option) *Fleet {
-	o := Options{Devices: n}
+	o := options{Devices: n}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return newFleet(o.withDefaults())
 }
 
-func newFleet(opt Options) *Fleet {
+func newFleet(opt options) *Fleet {
 	f := &Fleet{
 		opt:    opt,
 		clock:  opt.Clock,
@@ -464,7 +429,7 @@ func (f *Fleet) Do(ctx context.Context, id DeviceID, op Op) (Result, error) {
 	res := Result{OpID: opID}
 	if _, has := ctx.Deadline(); !has {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.opt.DefaultTimeout)
+		ctx, cancel = context.WithTimeout(ctx, defaultTimeout)
 		defer cancel()
 	}
 	var lastErr error

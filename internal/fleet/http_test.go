@@ -154,7 +154,7 @@ func TestHTTPBgBeginNotLocked(t *testing.T) {
 func TestHTTPOverload(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	f := openOptions(Options{
+	f := openOptions(options{
 		Devices: 2, Seed: 7, MaxInflight: 1, Backoff: &instantBackoff,
 		testExec: func(a *actor, op Op) (bool, Result, error) {
 			if op.Code == OpRebootDrill {

@@ -120,12 +120,9 @@ func TestReshardMidSoakByteIdentical(t *testing.T) {
 		Faults:       "benign",
 	}
 	open := func() *Fleet {
-		return Open(cfg.Devices,
-			WithSeed(cfg.Seed),
-			WithSqueezeEvery(4),
-			WithShards(4),
-			WithResidentCap(64),
-		)
+		return openOptions(options{
+			Devices: cfg.Devices, Seed: cfg.Seed, SqueezeEvery: 4, Shards: 4, ResidentCap: 64,
+		})
 	}
 
 	base := open()

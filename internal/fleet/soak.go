@@ -25,8 +25,8 @@ type SoakConfig struct {
 	Seed         int64
 	Faults       string // fault profile name: none, benign, adversarial
 
-	// SqueezeEvery forwards to Options.SqueezeEvery (default 4: every 4th
-	// device boots iRAM-starved to exercise graceful degradation).
+	// SqueezeEvery forwards to the fleet option of that name (default 4:
+	// every 4th device boots iRAM-starved to exercise graceful degradation).
 	SqueezeEvery int
 	// OpTimeout is the per-request deadline (default 10s — far above any
 	// simulated op, so deadlines never fire on a healthy run and the
@@ -227,13 +227,10 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown fault profile %q", cfg.Faults)
 	}
-	f := Open(cfg.Devices,
-		WithSeed(cfg.Seed),
-		WithFaults(prof),
-		WithSqueezeEvery(cfg.SqueezeEvery),
-		WithShards(nonZero(cfg.Shards, 8)),
-		WithResidentCap(cfg.ResidentCap),
-	)
+	f := newFleet(options{
+		Devices: cfg.Devices, Seed: cfg.Seed, Faults: prof, SqueezeEvery: cfg.SqueezeEvery,
+		Shards: cfg.Shards, ResidentCap: cfg.ResidentCap,
+	}.withDefaults())
 
 	recs := driveSoak(f, cfg)
 	f.Stop()
@@ -300,13 +297,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	sort.Strings(rep.Problems)
 	return rep, nil
-}
-
-func nonZero(v, def int) int {
-	if v != 0 {
-		return v
-	}
-	return def
 }
 
 // genOp draws one operation from the soak mix.

@@ -66,28 +66,44 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 }
 
-// The acceptance diff for the tentpole: the full soak JSON — counters,
-// ledgers, digests, per-device accounting — is byte-identical whether
-// devices stay resident or are parked and re-hydrated throughout the run.
+// A capped soak, whose devices delta-park and hydrate mid-run, reports
+// byte-identically to an uncapped one, whose devices never park: every
+// counter, ledger digest, retry count and failure class. Parking is a
+// memory decision, never a behavioral one. The rows are two geometries: a
+// few devices behind a two-seat cap on two shards, and more devices across
+// four shards.
 func TestSoakEvictionIdentical(t *testing.T) {
-	base := SoakConfig{Devices: 6, OpsPerDevice: 50, Seed: 9, Faults: "benign", Shards: 2}
-	free, err := RunSoak(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped := base
-	capped.ResidentCap = 2
-	evicted, err := RunSoak(capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _ := json.MarshalIndent(free, "", " ")
-	j2, _ := json.MarshalIndent(evicted, "", " ")
-	if string(j1) != string(j2) {
-		t.Fatalf("soak report differs with eviction on:\nfree:   %s\ncapped: %s", j1, j2)
-	}
-	if !free.Passed() {
-		t.Fatalf("soak failed: %v / %v", free.Problems, free.Violations)
+	for _, tc := range []struct {
+		name string
+		cfg  SoakConfig
+		long bool // skipped in -short
+	}{
+		{"6dev-cap2", SoakConfig{Devices: 6, OpsPerDevice: 50, Seed: 9, Faults: "benign", Shards: 2, ResidentCap: 2}, false},
+		{"16dev-cap6", SoakConfig{Devices: 16, OpsPerDevice: 30, Seed: 7, Faults: "benign", Shards: 4, ResidentCap: 6}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("soak comparison skipped in -short")
+			}
+			capped, err := RunSoak(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uncapped := tc.cfg
+			uncapped.ResidentCap = 0
+			free, err := RunSoak(uncapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !capped.Passed() {
+				t.Fatalf("capped soak failed: %v / %v", capped.Problems, capped.Violations)
+			}
+			cj, _ := json.MarshalIndent(capped, "", " ")
+			fj, _ := json.MarshalIndent(free, "", " ")
+			if string(cj) != string(fj) {
+				t.Fatalf("capped vs never-parked reports diverged:\ncapped: %s\nfree:   %s", cj, fj)
+			}
+		})
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 // after every step, never panic, and never leave DeepLocked short of a
 // power cycle.
 func FuzzUnlockPIN(f *testing.F) {
-	f.Add([]byte{0, 1})                               // lock, correct unlock
-	f.Add([]byte{0, 2, 2, 2, 2, 2, 1})                // five failures -> deep lock
-	f.Add([]byte{0, 3, 4, 'x', 0, 1})                 // arbitrary pin then re-lock
-	f.Add([]byte{5, 0, 5, 5})                         // empty pins
-	f.Add([]byte{0, 3, 4, '4', '3', '2', '1', 0, 2})  // correct pin via arbitrary bytes
+	f.Add([]byte{0, 1})                              // lock, correct unlock
+	f.Add([]byte{0, 2, 2, 2, 2, 2, 1})               // five failures -> deep lock
+	f.Add([]byte{0, 3, 4, 'x', 0, 1})                // arbitrary pin then re-lock
+	f.Add([]byte{5, 0, 5, 5})                        // empty pins
+	f.Add([]byte{0, 3, 4, '4', '3', '2', '1', 0, 2}) // correct pin via arbitrary bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const pin = "4321"
 		s := soc.Tegra3(1)

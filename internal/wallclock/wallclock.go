@@ -1,8 +1,8 @@
 // Package wallclock reads, updates, and guards BENCH_wallclock.json — the
 // repo's recorded wall-clock trajectory. Records are keyed by run kind
-// ("serial", "parallel", "check", "explore", "explore-baseline", "scale",
-// "serve"); each tool records its own kind, and Guard holds a fresh run to
-// the rows of one table of bounds, so a real regression fails loudly while
+// ("serial", "parallel", "check", "explore", "explore-baseline", "scale");
+// `sentrybench -record` writes them all, and Guard holds fresh runs to the
+// rows of one table of bounds, so a real regression fails loudly while
 // normal host noise passes.
 package wallclock
 
@@ -10,7 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 )
 
 // File is the schema of BENCH_wallclock.json.
@@ -20,9 +20,9 @@ type File struct {
 }
 
 // Run is one recorded run. TotalSec is the wall clock; OpsPerSec is set by
-// throughput kinds ("serve", "explore"); Experiments is the per-experiment
-// breakdown of -exp all runs; BytesPerDevice is set by the memory kind
-// ("scale") — the resting cost of a delta-parked device.
+// the throughput kinds ("explore", "explore-baseline"); Experiments is the
+// per-experiment breakdown of -exp all runs; BytesPerDevice is set by the
+// memory kind ("scale") — the resting cost of a delta-parked device.
 type Run struct {
 	Parallelism    int                `json:"parallelism"`
 	TotalSec       float64            `json:"total_seconds"`
@@ -57,7 +57,17 @@ var table = []bound{
 	{"explore", "ops_per_sec", true, "explore-baseline", 10},
 	{"explore-baseline", "ops_per_sec", true, "", 0},
 	{"scale", "bytes_per_device", false, "", 0},
-	{"serve", "ops_per_sec", true, "", 0},
+}
+
+// Kinds lists the run kinds the table has rows for, in table order.
+func Kinds() []string {
+	var kinds []string
+	for _, b := range table {
+		if !slices.Contains(kinds, b.kind) {
+			kinds = append(kinds, b.kind)
+		}
+	}
+	return kinds
 }
 
 func (r *Run) metric(name string) float64 {
@@ -106,44 +116,61 @@ func load(path, kind string) (*Run, error) {
 	return rec, nil
 }
 
-// Guard holds run to every table row of its kind and fails (returns an
-// error) on the first bound it breaks. On success it returns one summary
-// per row, joined by "; ".
-func Guard(path, kind string, run *Run) (string, error) {
-	var msgs []string
+// Guard holds fresh runs, keyed by kind, to the table and returns one line
+// per row, in table order. A row whose kind has no run is reported as not
+// run; ok is false if any other row broke its bound or could not be
+// checked, or if a run's kind has no row at all.
+func Guard(path string, runs map[string]*Run) (lines []string, ok bool) {
+	ok = true
 	for _, b := range table {
-		if b.kind != kind {
+		run := runs[b.kind]
+		if run == nil {
+			lines = append(lines, fmt.Sprintf("%s %s: not run", b.kind, b.metric))
 			continue
 		}
-		base, factor := kind, Headroom
-		if b.base != "" {
-			base, factor = b.base, b.ratio
-		}
-		rec, err := load(path, base)
+		msg, err := b.check(path, run)
 		if err != nil {
-			return "", err
+			ok, msg = false, err.Error()
 		}
-		want, got := rec.metric(b.metric), run.metric(b.metric)
-		if want <= 0 {
-			return "", fmt.Errorf("%s record in %s has no %s", base, path, b.metric)
-		}
-		limit := want * factor
-		if b.higher && b.base == "" {
-			limit = want / factor
-		}
-		ok, side := got <= limit, "ceiling"
-		if b.higher {
-			ok, side = got >= limit, "floor"
-		}
-		msg := fmt.Sprintf("%s %s %.6g, %s %.6g (recorded %s %.6g, factor %g)",
-			kind, b.metric, got, side, limit, base, want, factor)
-		if !ok {
-			return "", fmt.Errorf("%s — regression", msg)
-		}
-		msgs = append(msgs, msg)
+		lines = append(lines, msg)
 	}
-	if msgs == nil {
-		return "", fmt.Errorf("no guard for run kind %q", kind)
+	kinds := Kinds()
+	for kind := range runs {
+		if !slices.Contains(kinds, kind) {
+			ok = false
+			lines = append(lines, fmt.Sprintf("no guard for run kind %q", kind))
+		}
 	}
-	return strings.Join(msgs, "; "), nil
+	return lines, ok
+}
+
+// check holds run to one row: nil error and a summary if it keeps the
+// bound, an error naming the regression or the missing record otherwise.
+func (b bound) check(path string, run *Run) (string, error) {
+	base, factor := b.kind, Headroom
+	if b.base != "" {
+		base, factor = b.base, b.ratio
+	}
+	rec, err := load(path, base)
+	if err != nil {
+		return "", err
+	}
+	want, got := rec.metric(b.metric), run.metric(b.metric)
+	if want <= 0 {
+		return "", fmt.Errorf("%s record in %s has no %s", base, path, b.metric)
+	}
+	limit := want * factor
+	if b.higher && b.base == "" {
+		limit = want / factor
+	}
+	ok, side := got <= limit, "ceiling"
+	if b.higher {
+		ok, side = got >= limit, "floor"
+	}
+	msg := fmt.Sprintf("%s %s %.6g, %s %.6g (recorded %s %.6g, factor %g)",
+		b.kind, b.metric, got, side, limit, base, want, factor)
+	if !ok {
+		return "", fmt.Errorf("%s — regression", msg)
+	}
+	return msg, nil
 }

@@ -2,6 +2,7 @@ package wallclock
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRecordPreservesOtherKinds(t *testing.T) {
 	if err := Record(path, "serial", 1, &Run{Parallelism: 1, TotalSec: 6.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Record(path, "serve", 1, &Run{Parallelism: 512, TotalSec: 10, OpsPerSec: 300}); err != nil {
+	if err := Record(path, "explore", 1, &Run{Parallelism: 0, TotalSec: 5.7, OpsPerSec: 6000}); err != nil {
 		t.Fatal(err)
 	}
 	// Re-recording one kind must not clobber the other.
@@ -25,12 +26,12 @@ func TestRecordPreservesOtherKinds(t *testing.T) {
 	if serial.TotalSec != 6.0 {
 		t.Fatalf("serial total = %v, want the re-recorded 6.0", serial.TotalSec)
 	}
-	serve, err := load(path, "serve")
+	explore, err := load(path, "explore")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serve.OpsPerSec != 300 {
-		t.Fatalf("serve record lost across serial re-record: %+v", serve)
+	if explore.OpsPerSec != 6000 {
+		t.Fatalf("explore record lost across serial re-record: %+v", explore)
 	}
 	if _, err := load(path, "parallel"); err == nil {
 		t.Fatal("load of an unrecorded kind succeeded")
@@ -39,46 +40,56 @@ func TestRecordPreservesOtherKinds(t *testing.T) {
 
 // TestGuardHeadroom holds a duration kind to 1.25x its own record; a kind
 // without guard rows and a kind without a record fail rather than pass
-// vacuously.
+// vacuously, and rows of kinds without a run are reported as not run.
 func TestGuardHeadroom(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wc.json")
 	if err := Record(path, "check", 1, &Run{Parallelism: 1, TotalSec: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Guard(path, "check", &Run{TotalSec: 4.9}); err != nil {
-		t.Fatalf("run within headroom failed the guard: %v", err)
+	lines, ok := Guard(path, map[string]*Run{"check": {TotalSec: 4.9}})
+	if !ok {
+		t.Fatalf("run within headroom failed the guard: %q", lines)
 	}
-	if _, err := Guard(path, "check", &Run{TotalSec: 5.1}); err == nil {
+	if len(lines) != len(table) {
+		t.Fatalf("%d lines for %d table rows: %q", len(lines), len(table), lines)
+	}
+	for i, b := range table {
+		if notRun := strings.HasSuffix(lines[i], ": not run"); notRun != (b.kind != "check") {
+			t.Errorf("row %d %+v: %q", i, b, lines[i])
+		}
+	}
+	if _, ok := Guard(path, map[string]*Run{"check": {TotalSec: 5.1}}); ok {
 		t.Fatal("run past headroom passed the guard")
 	}
-	if _, err := Guard(path, "missing", &Run{TotalSec: 1}); err == nil {
-		t.Fatal("guard of a kind without rows passed")
+	if lines, ok := Guard(path, map[string]*Run{"missing": {TotalSec: 1}}); ok ||
+		!strings.Contains(lines[len(lines)-1], `no guard for run kind "missing"`) {
+		t.Fatalf("guard of a kind without rows: ok=%v %q", ok, lines)
 	}
-	if _, err := Guard(path, "serial", &Run{TotalSec: 1}); err == nil {
+	if _, ok := Guard(path, map[string]*Run{"serial": {TotalSec: 1}}); ok {
 		t.Fatal("guard against a missing record passed")
 	}
 }
 
 func TestGuardThroughputFloor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wc.json")
-	if err := Record(path, "serve", 1, &Run{Parallelism: 512, TotalSec: 10, OpsPerSec: 300}); err != nil {
+	if err := Record(path, "explore-baseline", 1, &Run{TotalSec: 74, OpsPerSec: 300}); err != nil {
 		t.Fatal(err)
 	}
 	// Floor is recorded/1.25 = 240: throughput rows invert the comparison
 	// (lower is worse).
-	if msg, err := Guard(path, "serve", &Run{OpsPerSec: 241}); err != nil {
-		t.Fatalf("throughput above the floor failed: %v (%s)", err, msg)
+	if lines, ok := Guard(path, map[string]*Run{"explore-baseline": {OpsPerSec: 241}}); !ok {
+		t.Fatalf("throughput above the floor failed: %q", lines)
 	}
-	if _, err := Guard(path, "serve", &Run{OpsPerSec: 239}); err == nil {
+	if _, ok := Guard(path, map[string]*Run{"explore-baseline": {OpsPerSec: 239}}); ok {
 		t.Fatal("throughput below the floor passed")
 	}
 	// A record without ops/sec cannot anchor a throughput guard.
-	if err := Record(path, "serve", 1, &Run{Parallelism: 1, TotalSec: 6}); err != nil {
+	if err := Record(path, "explore-baseline", 1, &Run{Parallelism: 1, TotalSec: 6}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Guard(path, "serve", &Run{OpsPerSec: 100}); err == nil ||
-		!strings.Contains(err.Error(), "no ops_per_sec") {
-		t.Fatalf("guard against a duration-only record: %v", err)
+	lines, ok := Guard(path, map[string]*Run{"explore-baseline": {OpsPerSec: 100}})
+	if ok || !slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, "no ops_per_sec") }) {
+		t.Fatalf("guard against a duration-only record: ok=%v %q", ok, lines)
 	}
 }
 
@@ -106,7 +117,6 @@ func TestGuardTable(t *testing.T) {
 		{4, exploreRecs(800), Run{OpsPerSec: 8001}, Run{OpsPerSec: 7999}},
 		{5, own("explore-baseline", Run{OpsPerSec: 400}), Run{OpsPerSec: 321}, Run{OpsPerSec: 319}},
 		{6, own("scale", Run{BytesPerDevice: 20000}), Run{BytesPerDevice: 24999}, Run{BytesPerDevice: 25001}},
-		{7, own("serve", Run{OpsPerSec: 300}), Run{OpsPerSec: 241}, Run{OpsPerSec: 239}},
 	}
 	covered := make([]bool, len(table))
 	for _, c := range cases {
@@ -122,21 +132,33 @@ func TestGuardTable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if msg, err := Guard(path, b.kind, &c.pass); err != nil {
-			t.Errorf("row %d %+v: %+v failed: %v", c.row, b, c.pass, err)
+		if lines, ok := Guard(path, map[string]*Run{b.kind: &c.pass}); !ok {
+			t.Errorf("row %d %+v: %+v failed: %q", c.row, b, c.pass, lines)
 		} else {
-			t.Logf("row %d: %s", c.row, msg)
+			t.Logf("row %d: %s", c.row, lines[c.row])
 		}
-		_, err := Guard(path, b.kind, &c.fail)
-		if err == nil {
+		lines, ok := Guard(path, map[string]*Run{b.kind: &c.fail})
+		if ok {
 			t.Errorf("row %d %+v: %+v passed", c.row, b, c.fail)
-		} else if !strings.Contains(err.Error(), "recorded "+base+" ") {
-			t.Errorf("row %d %+v: %+v failed another row: %v", c.row, b, c.fail, err)
+		}
+		for i, line := range lines {
+			broke := strings.HasSuffix(line, "— regression")
+			if broke != (i == c.row) || (broke && !strings.Contains(line, "recorded "+base+" ")) {
+				t.Errorf("row %d %+v: %+v gave row %d %q", c.row, b, c.fail, i, line)
+			}
 		}
 	}
 	for i, ok := range covered {
 		if !ok {
 			t.Errorf("row %d %+v has no pass/fail case", i, table[i])
 		}
+	}
+}
+
+// TestKinds lists each table kind once, in table order.
+func TestKinds(t *testing.T) {
+	want := []string{"serial", "parallel", "check", "explore", "explore-baseline", "scale"}
+	if got := Kinds(); !slices.Equal(got, want) {
+		t.Fatalf("Kinds() = %q, want %q", got, want)
 	}
 }

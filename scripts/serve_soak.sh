@@ -1,10 +1,11 @@
 #!/bin/sh
 # serve_soak.sh — determinism check over the HTTP serving path.
 #
-# Runs the deterministic soak workload through sentryd + sentryload twice:
-# once with a resident cap forcing park/hydrate cycles, once unbounded. The
-# client-visible soak reports (per-op outcomes, ledgers, digests) must be
-# byte-identical: eviction may never change what a device computed.
+# Runs the deterministic soak workload through sentryd and
+# `sentrybench -fleet-soak -url` twice: once with a resident cap forcing
+# park/hydrate cycles, once unbounded. The client-visible soak reports
+# (per-op outcomes, ledgers, digests) must be byte-identical: eviction may
+# never change what a device computed.
 set -eu
 
 PORT="${PORT:-8477}"
@@ -24,14 +25,15 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 "$GO" build -o "$tmp/sentryd" ./cmd/sentryd
-"$GO" build -o "$tmp/sentryload" ./cmd/sentryload
+"$GO" build -o "$tmp/sentrybench" ./cmd/sentrybench
 
 run_soak() { # $1 resident cap, $2 report path
     "$tmp/sentryd" -devices $DEVICES -seed $SEED -faults benign \
         -shards 2 -resident-cap "$1" -listen "127.0.0.1:$PORT" &
     pid=$!
-    # sentryload's preflight retries until the server is up.
-    "$tmp/sentryload" -url "$URL" -soak -devices $DEVICES -ops $OPS -seed $SEED > "$2"
+    # The soak polls the server's health until it is up.
+    "$tmp/sentrybench" -fleet-soak -url "$URL" -devices $DEVICES -ops $OPS -seed $SEED \
+        -faults benign > "$2"
     kill "$pid"
     wait "$pid" 2>/dev/null || true
     pid=""
