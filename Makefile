@@ -29,9 +29,10 @@ race:
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracerDisabled|BenchmarkNoEmitBaseline' -benchtime 2s ./internal/obs/
 
-# Microbenchmarks: mem.Store COW, L2 fill, and checkpoint/fork cost. A fixed
-# iteration count (-benchtime 100x) keeps the run fast and deterministic in
-# shape; read the ns/op numbers comparatively, not absolutely.
+# Microbenchmarks that name their layer: mem.Store COW, L2 fill, clone and
+# sparse-delta hydrate, and checkpoint/fork cost. A fixed iteration count
+# (-benchtime 100x) keeps the run to seconds; it asserts no bound, so read
+# the ns/op and B/op numbers comparatively, not absolutely.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/mem/ ./internal/cache/ ./internal/check/
 
@@ -164,4 +165,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEvictionSet -fuzztime 30s ./internal/attack/
 	$(GO) test -run '^$$' -fuzz FuzzDFAFaultMask -fuzztime 30s ./internal/attack/
 
-ci: vet build perfbench-build race bench-guard guard check attacks dfa explore-smoke soak serve-soak scale perfbench-smoke
+ci: vet build perfbench-build race bench bench-guard guard check attacks dfa explore-smoke soak serve-soak scale perfbench-smoke

@@ -106,7 +106,7 @@ func main() {
 	defer cancel()
 	srv.Shutdown(ctx)
 	f.Stop()
-	fmt.Print(f.Metrics().Dump())
+	fmt.Println(f.Metrics().Dump())
 }
 
 func fatalf(format string, args ...any) {

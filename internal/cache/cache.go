@@ -22,7 +22,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"slices"
 
 	"sentry/internal/bus"
 	"sentry/internal/mem"
@@ -64,27 +64,31 @@ type Stats struct {
 	Bypasses   uint64 // accesses that went uncached because no way could allocate
 }
 
-// line is deliberately pointer-free (16 bytes): the per-cache slab holds
-// sets×ways of them, and a pointer-free slab costs the allocator a plain
-// memclr and the garbage collector nothing at all — with a []byte inside,
-// every booted world added a megabyte the GC had to scan. Line contents live
-// in the cache's bufs table; buf is a 1-based index into it (0 = no buffer,
-// which is also the zero value, so a fresh slab needs no initialisation).
-type line struct {
-	valid bool
-	dirty bool
-	// shared marks the line's buffer as aliased with a clone
-	// (copy-on-write): every mutation of the contents must go through own()
-	// or install a fresh buffer. Reads (write-backs, hits, ReadLine) use
-	// shared buffers freely.
-	shared bool
-	// holder is the bitmask of masters (cores) that touched the line since
+// chunkSets is the number of consecutive sets one copy-on-write chunk
+// holds. Fork-heavy workloads measured alike at 8, 16 and 32 sets per chunk
+// and slower at 64.
+const chunkSets = 16
+
+// chunk is the unit of copy-on-write sharing between a cache and its
+// clones: the line metadata, valid masks, victim pointers and line contents
+// of chunkSets consecutive sets. A chunk reachable from more than one cache
+// is immutable; wchunk copies it before the first write. A nil chunk holds
+// no valid line and zero victim pointers.
+//
+// Per-line arrays are indexed [set][way] within the chunk (see slot). The
+// tags are dense, so a lookup scans one host cache line per set. An
+// invalid line's tag, holder and contents are stale and never read; its
+// dirty bit is clear.
+type chunk struct {
+	valid  [chunkSets]uint32 // per-set bitmask of ways holding a valid line
+	dirty  [chunkSets]uint32 // per-set bitmask of ways holding a dirty line
+	victim [chunkSets]uint8  // per-set round-robin pointer
+	tags   []uint64
+	// holder is the bitmask of masters (cores) that touched each line since
 	// its fill — the AutoLock "held in some L1" approximation. Only
-	// maintained when Config.AutoLock is set; it occupies struct padding,
-	// so the slab stays the same size and remains pointer-free.
-	holder uint8
-	tag    uint64
-	buf    uint32
+	// maintained when Config.AutoLock is set.
+	holder []uint8
+	data   []byte // line contents, LineSize bytes per line
 }
 
 // L2 is the second-level cache. It is not safe for concurrent use; the
@@ -105,40 +109,22 @@ type L2 struct {
 	setMask   uint64
 	offMask   uint64
 
-	// lines is indexed [set][way]: lookup and victim selection walk the
-	// ways of one set, so a set's ways must be contiguous in memory. All
-	// rows are windows into slab, which Clone copies with one memmove.
-	lines [][]line
-	slab  []line
-	// bufs is the line-contents table; line.buf indexes it 1-based. Its
-	// length tracks the peak number of concurrently-filled lines, not the
-	// cache capacity, and a clone shares the parent's buffers copy-on-write.
-	// freeBufs lists slots detached by invalidation, reused by the next
-	// fill so that invalidate/refill cycles do not grow the table.
-	bufs     [][]byte
-	freeBufs []uint32
-	// meta owns slab, lines, validMask, validCount, tags, and victim (the
-	// fields alias it); Release recycles the bundle through a pool so the
-	// model checker's fork-heavy sweeps do not re-allocate ~¾ MB per clone.
-	meta      *metaArrays
-	validMask []uint32 // per-set bitmask of ways holding a valid line
+	// chunks holds the sets, chunkSets to an entry. Entries may be shared
+	// with other caches: read through chunkOf, write through wchunk.
+	// owned[i] marks chunks[i] as private to this cache, so it may be
+	// written in place. Clone copies the table and clears owned on both
+	// sides, which makes a clone cost O(sets/chunkSets) pointers, and each
+	// side copies a chunk the first time it writes to it.
+	chunks []*chunk
+	owned  []bool
 	// validCount[w] is the number of valid lines way w holds — the sum of
-	// validMask bit w over all sets. Maintenance walks consult it to skip
-	// empty ways outright and to stop a walk once every valid line has been
-	// visited: campaign workloads keep most ways nearly empty, so the full
-	// Ways×Sets sweep is almost always cut short.
+	// the valid-mask bit w over all sets. Maintenance walks consult it to
+	// skip empty ways outright and to stop a walk once every valid line has
+	// been visited: campaign workloads keep most ways nearly empty, so the
+	// full Ways×Sets sweep is almost always cut short.
 	validCount []int
-	// dataArena is the tail of the current line-data allocation chunk; see
-	// newLineData.
-	dataArena []byte
-	// tags mirrors the per-line tag fields as a dense flat array
-	// (tags[set*Ways+way]): a tag-match scan touches one or two cache
-	// lines of host memory instead of striding across line structs.
-	// Entries go stale on invalidation; validMask arbitrates.
-	tags      []uint64
-	allocMask uint32 // bit w set => way w may allocate new lines
-	victim    []int  // per-set round-robin pointer
-	stats     Stats
+	allocMask  uint32 // bit w set => way w may allocate new lines
+	stats      Stats
 
 	// master is the core id charged with subsequent accesses (AutoLock
 	// holder tracking). The simulated platform is single-threaded, so this
@@ -161,13 +147,13 @@ type L2 struct {
 	// maintenance entry points consult it, never the access fast path.
 	faults FaultInjector
 
-	// frozen marks a cache that FreezeShared pinned read-only: every valid
-	// line's buffer is already flagged shared, so Clone skips its parent-side
-	// mutation pass and concurrent Clone/Deflate against it are safe.
+	// frozen marks a cache that FreezeShared pinned read-only: it owns no
+	// chunk, so Clone skips clearing its owned table and concurrent
+	// Clone/Deflate against it are safe.
 	frozen bool
 	// defl, when non-nil, means the cache has been re-encoded as a delta
-	// against a frozen base (Deflate): the dense arrays are released and the
-	// only legal operations are Clone (which inflates) and Release.
+	// against a frozen base (Deflate): the chunk table is dropped and the
+	// only legal operation is Clone, which inflates.
 	defl *l2Delta
 }
 
@@ -181,83 +167,9 @@ type FaultInjector interface {
 	DropMaint(op string) bool
 }
 
-// metaArrays bundles the dense per-cache metadata every cache owns
-// privately: the line slab, its per-set windows, the tag mirror, the
-// validity tracking, and the per-set victim pointers. Forking a world
-// clones its L2, and a model-checking sweep forks worlds thousands of
-// times a second — a fresh ~¾ MB of zeroed allocations per clone made a
-// fork cost as much as a cold boot, nearly all of it allocator and GC
-// work. Dead caches hand their bundle back through Release, and the next
-// New or Clone reuses it.
-type metaArrays struct {
-	sets, ways int
-	slab       []line
-	lines      [][]line
-	validMask  []uint32
-	validCount []int
-	tags       []uint64
-	victim     []int
-}
-
-var metaPool sync.Pool
-
-// newMeta returns a bundle for the geometry, reusing a pooled one when the
-// dimensions match. zeroed guarantees cleared contents (a cold boot needs
-// an empty cache); Clone passes false because it overwrites every entry
-// from the parent and the clearing would be pure waste.
-func newMeta(sets, ways int, zeroed bool) *metaArrays {
-	if a, _ := metaPool.Get().(*metaArrays); a != nil && a.sets == sets && a.ways == ways {
-		if zeroed {
-			clear(a.slab)
-			clear(a.validMask)
-			clear(a.validCount)
-			clear(a.tags)
-			clear(a.victim)
-		}
-		return a
-	}
-	a := &metaArrays{
-		sets: sets, ways: ways,
-		slab:       make([]line, sets*ways),
-		lines:      make([][]line, sets),
-		validMask:  make([]uint32, sets),
-		validCount: make([]int, ways),
-		tags:       make([]uint64, sets*ways),
-		victim:     make([]int, sets),
-	}
-	// All line structs come from one pointer-free slab allocation: tens of
-	// thousands of tiny per-line allocations per booted platform add up
-	// across experiments. Line contents are NOT allocated here — a line
-	// gets a buffer on first fill (newLineData) — because campaign and
-	// experiment workloads touch a small fraction of the cache, and zeroing
-	// a capacity-sized data slab per booted world dominated the boot
-	// profile.
-	for s, slab := 0, a.slab; s < sets; s++ {
-		a.lines[s], slab = slab[:ways:ways], slab[ways:]
-	}
-	return a
-}
-
-// Release returns the cache's private metadata arrays to the clone pool
-// and leaves the cache unusable. Only an exclusive owner may call it —
-// the arrays are recycled into future caches, so any later use of this
-// one would corrupt an unrelated world. Line-content buffers are never
-// recycled: they may be shared copy-on-write with live clones.
-func (c *L2) Release() {
-	if c.meta == nil {
-		return
-	}
-	metaPool.Put(c.meta)
-	c.meta = nil
-	c.lines, c.slab, c.validMask, c.validCount, c.tags, c.victim = nil, nil, nil, nil, nil, nil
-}
-
-// New returns an L2 of the given geometry in front of the given bus.
+// New returns an L2 of the given geometry in front of the given bus. It
+// starts empty: every chunk is nil until a fill writes to it.
 func New(cfg Config, clock *sim.Clock, meter *sim.Meter, costs *sim.CostTable, energy *sim.EnergyTable, b *bus.Bus) *L2 {
-	return newL2(cfg, clock, meter, costs, energy, b, true)
-}
-
-func newL2(cfg Config, clock *sim.Clock, meter *sim.Meter, costs *sim.CostTable, energy *sim.EnergyTable, b *bus.Bus, zeroed bool) *L2 {
 	if cfg.Ways <= 0 || cfg.Ways > 32 {
 		panic(fmt.Sprintf("cache: unsupported way count %d", cfg.Ways))
 	}
@@ -268,83 +180,60 @@ func newL2(cfg Config, clock *sim.Clock, meter *sim.Meter, costs *sim.CostTable,
 	if bits.OnesCount(uint(cfg.LineSize)) != 1 || bits.OnesCount(uint(sets)) != 1 {
 		panic("cache: line size and set count must be powers of two")
 	}
-	c := &L2{
+	nchunks := (sets + chunkSets - 1) / chunkSets
+	return &L2{
 		cfg: cfg, sets: sets,
 		clock: clock, meter: meter, costs: costs, energy: energy, bus: b,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		setShift:  uint(bits.TrailingZeros(uint(sets))),
-		setMask:   uint64(sets - 1),
-		offMask:   uint64(cfg.LineSize - 1),
-		allocMask: (1 << cfg.Ways) - 1,
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:   uint(bits.TrailingZeros(uint(sets))),
+		setMask:    uint64(sets - 1),
+		offMask:    uint64(cfg.LineSize - 1),
+		chunks:     make([]*chunk, nchunks),
+		owned:      make([]bool, nchunks),
+		validCount: make([]int, cfg.Ways),
+		allocMask:  (1 << cfg.Ways) - 1,
 	}
-	c.meta = newMeta(sets, cfg.Ways, zeroed)
-	c.slab = c.meta.slab
-	c.lines = c.meta.lines
-	c.validMask = c.meta.validMask
-	c.validCount = c.meta.validCount
-	c.tags = c.meta.tags
-	c.victim = c.meta.victim
-	return c
 }
 
-// newLineData returns a zeroed line-sized buffer, carving it from a chunked
-// arena so filling N distinct lines costs N/chunk allocations, not N.
-func (c *L2) newLineData() []byte {
-	if len(c.dataArena) < c.cfg.LineSize {
-		c.dataArena = make([]byte, 256*c.cfg.LineSize)
+// chunkOf returns the chunk holding set, for reading only. nil means the
+// set holds no valid line.
+func (c *L2) chunkOf(set int) *chunk { return c.chunks[uint(set)/chunkSets] }
+
+// wchunk returns the chunk holding set, private to this cache and safe to
+// write: a nil chunk is allocated, and a shared one is copied first.
+func (c *L2) wchunk(set int) *chunk {
+	i := uint(set) / chunkSets
+	if c.owned[i] {
+		return c.chunks[i]
 	}
-	d := c.dataArena[:c.cfg.LineSize:c.cfg.LineSize]
-	c.dataArena = c.dataArena[c.cfg.LineSize:]
-	return d
+	return c.unshare(i)
 }
 
-// lineData returns ln's contents. Valid lines always have a buffer.
-func (c *L2) lineData(ln *line) []byte { return c.bufs[ln.buf-1] }
-
-// newBuf installs a private buffer for ln and returns its contents,
-// preferring a slot detached by an earlier invalidation. The buffer is NOT
-// zeroed: every caller overwrites the whole line (bus refill in fill, full
-// copy in own).
-func (c *L2) newBuf(ln *line) []byte {
-	if n := len(c.freeBufs); n > 0 {
-		idx := c.freeBufs[n-1]
-		c.freeBufs = c.freeBufs[:n-1]
-		d := c.bufs[idx-1]
-		if d == nil { // slot was shared with a clone, or emptied by Clone
-			d = c.newLineData()
-			c.bufs[idx-1] = d
-		}
-		ln.buf, ln.shared = idx, false
-		return d
+// unshare is wchunk's slow path: it installs a private copy of chunk i.
+func (c *L2) unshare(i uint) *chunk {
+	k := &chunk{}
+	if old := c.chunks[i]; old != nil {
+		*k = *old
+		k.tags = slices.Clone(old.tags)
+		k.holder = slices.Clone(old.holder)
+		k.data = slices.Clone(old.data)
+	} else {
+		n := chunkSets * c.cfg.Ways
+		k.tags = make([]uint64, n)
+		k.holder = make([]uint8, n)
+		k.data = make([]byte, n*c.cfg.LineSize)
 	}
-	d := c.newLineData()
-	c.bufs = append(c.bufs, d)
-	ln.buf, ln.shared = uint32(len(c.bufs)), false
-	return d
+	c.chunks[i], c.owned[i] = k, true
+	return k
 }
 
-// dropBuf detaches ln's buffer (if any) on invalidation, recycling its slot.
-// A buffer shared with a clone is left to the clone: the slot is nilled so
-// a later reuse allocates fresh storage.
-func (c *L2) dropBuf(ln *line) {
-	if ln.buf == 0 {
-		return
-	}
-	if ln.shared {
-		c.bufs[ln.buf-1] = nil
-	}
-	c.freeBufs = append(c.freeBufs, ln.buf)
-	ln.buf, ln.shared = 0, false
-}
+// slot returns the index of (set, way) within its chunk's per-line arrays.
+func (c *L2) slot(set, way int) int { return (set&(chunkSets-1))*c.cfg.Ways + way }
 
-// own makes ln's contents private before a partial mutation, copying the
-// shared buffer aside. No-op for lines that already own their buffer.
-func (c *L2) own(ln *line) {
-	if !ln.shared {
-		return
-	}
-	old := c.lineData(ln)
-	copy(c.newBuf(ln), old)
+// lineData returns the contents of line i of chunk k.
+func (c *L2) lineData(k *chunk, i int) []byte {
+	off := i * c.cfg.LineSize
+	return k.data[off : off+c.cfg.LineSize : off+c.cfg.LineSize]
 }
 
 // Config returns the cache geometry.
@@ -468,44 +357,48 @@ func (c *L2) index(addr mem.PhysAddr) (set int, tag uint64) {
 	return set, tag
 }
 
-// lookup returns the way holding (set, tag), or -1. It scans the dense tag
-// array; a matching but stale entry is rejected by its clear validMask bit
-// (and a fresh copy of the same tag in another way is then still found).
-func (c *L2) lookup(set int, tag uint64) int {
-	vm := c.validMask[set]
-	if vm == 0 {
-		return -1
+// lookup returns the chunk holding set (for reading; nil if empty) and
+// the way holding (set, tag), or -1. Only the ways the set's valid mask
+// names are compared: an invalidated line keeps its stale tag.
+func (c *L2) lookup(set int, tag uint64) (*chunk, int) {
+	k := c.chunkOf(set)
+	if k == nil {
+		return nil, -1
 	}
-	base := set * c.cfg.Ways
-	row := c.tags[base : base+c.cfg.Ways]
-	for w := range row {
-		if row[w] == tag && vm&(1<<w) != 0 {
-			return w
+	row := k.tags[c.slot(set, 0):]
+	for vm := k.valid[set&(chunkSets-1)]; vm != 0; vm &= vm - 1 {
+		if w := bits.TrailingZeros32(vm); row[w] == tag {
+			return k, w
 		}
 	}
-	return -1
+	return k, -1
 }
 
-// pickVictim chooses an allocation-enabled way in set, preferring invalid
-// lines, else round-robin. Returns -1 if no way may allocate.
-func (c *L2) pickVictim(set int) int {
+// pickVictim chooses an allocation-enabled way in set, whose chunk is k,
+// preferring invalid lines, else round-robin. Returns -1 if no way may
+// allocate.
+func (c *L2) pickVictim(set int, k *chunk) int {
 	if c.allocMask == 0 {
 		return -1
 	}
+	var vm uint32
+	if k != nil {
+		vm = k.valid[set&(chunkSets-1)]
+	}
 	// Lowest allocation-enabled way without a valid line, if any — one mask
 	// op instead of a scan across the ways.
-	if inv := c.allocMask &^ c.validMask[set]; inv != 0 {
+	if inv := c.allocMask &^ vm; inv != 0 {
 		return bits.TrailingZeros32(inv)
 	}
+	// Every allocation-enabled way holds a valid line, so k is not nil.
 	avail := c.allocMask
 	if c.cfg.AutoLock {
 		// AutoLock: a valid line held in another core's L1 is transparently
-		// locked — the current master may not evict it. Invalid ways were
-		// handled above, so every candidate line here is valid.
+		// locked — the current master may not evict it.
 		other := ^(uint8(1) << c.master)
-		row := c.lines[set]
+		row := k.holder[c.slot(set, 0):]
 		for w := 0; w < c.cfg.Ways; w++ {
-			if avail&(1<<w) != 0 && row[w].holder&other != 0 {
+			if avail&(1<<w) != 0 && row[w]&other != 0 {
 				avail &^= 1 << w
 			}
 		}
@@ -516,18 +409,18 @@ func (c *L2) pickVictim(set int) int {
 	// Round-robin: the first available way at or after the pointer, found
 	// by rotating the mask instead of scanning way by way.
 	ways := c.cfg.Ways
-	start := c.victim[set]
+	start := int(k.victim[set&(chunkSets-1)])
 	full := uint32(1)<<ways - 1
 	rot := (avail >> start) | (avail << (ways - start))
 	w := start + bits.TrailingZeros32(rot&full)
 	if w >= ways {
 		w -= ways
 	}
-	if w+1 == ways {
-		c.victim[set] = 0
-	} else {
-		c.victim[set] = w + 1
+	next := w + 1
+	if next == ways {
+		next = 0
 	}
+	c.wchunk(set).victim[set&(chunkSets-1)] = uint8(next)
 	return w
 }
 
@@ -538,42 +431,38 @@ func (c *L2) lineBase(set int, tag uint64) mem.PhysAddr {
 	return mem.PhysAddr((tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineSize))
 }
 
-// writeBack cleans one line to DRAM over the bus.
+// writeBack cleans one line to DRAM over the bus. Callers pass a set
+// holding at least one valid line, so its chunk is never nil.
 func (c *L2) writeBack(set, way int) {
-	ln := &c.lines[set][way]
-	if !ln.valid || !ln.dirty {
+	k, i := c.chunkOf(set), c.slot(set, way)
+	if k.dirty[set&(chunkSets-1)]&(1<<way) == 0 {
 		return
 	}
-	c.bus.WriteFrom("l2", c.lineBase(set, ln.tag), c.lineData(ln))
-	ln.dirty = false
+	c.bus.WriteFrom("l2", c.lineBase(set, k.tags[i]), c.lineData(k, i))
+	c.wchunk(set).dirty[set&(chunkSets-1)] &^= 1 << way
 	c.stats.WriteBacks++
 	c.ctrWBs.Inc()
 }
 
-// fill allocates (set,way) with the line containing addr, evicting as needed.
-func (c *L2) fill(set, way int, tag uint64) *line {
-	ln := &c.lines[set][way]
-	if ln.valid {
+// fill allocates (set,way) with the line containing addr, evicting as
+// needed, and returns the set's now private chunk.
+func (c *L2) fill(set, way int, tag uint64) *chunk {
+	bit := uint32(1) << way
+	if k := c.chunkOf(set); k != nil && k.valid[set&(chunkSets-1)]&bit != 0 {
 		c.stats.Evictions++
 		c.writeBack(set, way)
 	}
-	if ln.buf == 0 || ln.shared {
-		// First fill, or the old contents are shared with a clone: either
-		// way the bus read below overwrites the whole line, so take a fresh
-		// buffer rather than copying.
-		c.newBuf(ln)
-	}
-	ln.valid = true
-	if c.validMask[set]&(1<<way) == 0 {
-		c.validMask[set] |= 1 << way
+	k, i, j := c.wchunk(set), c.slot(set, way), set&(chunkSets-1)
+	if k.valid[j]&bit == 0 {
+		k.valid[j] |= bit
 		c.validCount[way]++
 	}
-	ln.dirty = false
-	ln.holder = 0 // a refill replaces the previous occupant's holders
-	ln.tag = tag
-	c.tags[set*c.cfg.Ways+way] = tag
-	c.bus.ReadInto("l2", c.lineBase(set, tag), c.lineData(ln))
-	return ln
+	// A refill replaces the previous occupant's flags and holders; the bus
+	// read overwrites the whole line.
+	k.dirty[j] &^= bit
+	k.tags[i], k.holder[i] = tag, 0
+	c.bus.ReadInto("l2", c.lineBase(set, tag), c.lineData(k, i))
+	return k
 }
 
 func (c *L2) chargeHit(nbytes int) {
@@ -585,9 +474,9 @@ func (c *L2) chargeHit(nbytes int) {
 // access performs one within-line cacheable access.
 func (c *L2) access(addr mem.PhysAddr, buf []byte, isWrite bool) {
 	set, tag := c.index(addr)
-	way := c.lookup(set, tag)
+	k, way := c.lookup(set, tag)
 	if way < 0 {
-		victim := c.pickVictim(set)
+		victim := c.pickVictim(set, k)
 		if victim < 0 {
 			// Every way locked: the controller bypasses to DRAM with
 			// single-beat transactions (no burst amortisation).
@@ -603,23 +492,24 @@ func (c *L2) access(addr mem.PhysAddr, buf []byte, isWrite bool) {
 		}
 		c.stats.Misses++
 		c.ctrMisses.Inc()
-		c.fill(set, victim, tag)
+		k = c.fill(set, victim, tag)
 		way = victim
 	} else {
 		c.stats.Hits++
 		c.ctrHits.Inc()
 	}
-	ln := &c.lines[set][way]
-	if c.cfg.AutoLock {
-		ln.holder |= 1 << c.master
+	i := c.slot(set, way)
+	if c.cfg.AutoLock && k.holder[i]&(1<<c.master) == 0 {
+		k = c.wchunk(set)
+		k.holder[i] |= 1 << c.master
 	}
 	off := int(uint64(addr) & c.offMask)
 	if isWrite {
-		c.own(ln)
-		copy(c.lineData(ln)[off:], buf)
-		ln.dirty = true
+		k = c.wchunk(set)
+		copy(c.lineData(k, i)[off:], buf)
+		k.dirty[set&(chunkSets-1)] |= 1 << way
 	} else {
-		copy(buf, c.lineData(ln)[off:off+len(buf)])
+		copy(buf, c.lineData(k, i)[off:off+len(buf)])
 	}
 	c.chargeHit(len(buf))
 }
@@ -680,23 +570,28 @@ func (c *L2) CleanWays(mask uint32) {
 	if f := c.faults; f != nil && f.DropMaint("clean-ways") {
 		return
 	}
-	// The walk consults the per-set valid bitmap instead of dereferencing
-	// every line struct: a full clean visits Ways×Sets lines, almost all of
-	// which are invalid in the campaign workloads, and the bitmap scan reads
-	// 4 bytes per set instead of a 40-byte struct per line. writeBack itself
-	// still rechecks valid||dirty, and the visit order (way-outer,
-	// set-inner) is unchanged — the energy meter is an order-sensitive float
-	// accumulator, so reordering write-backs would shift recorded results.
+	// The walk reads the chunks' valid masks instead of every line, skips
+	// empty chunks whole, and stops once every valid line of the way has
+	// been visited. The visit order (way-outer, set-inner) is fixed: the
+	// energy meter is an order-sensitive float accumulator, so reordering
+	// write-backs would shift recorded results. writeBack touches no valid
+	// mask, so the masks read here stay current while it copies chunks.
 	for w := 0; w < c.cfg.Ways; w++ {
 		bit := uint32(1) << w
-		if mask&bit == 0 || c.validCount[w] == 0 {
+		if mask&bit == 0 {
 			continue
 		}
 		left := c.validCount[w]
-		for s := 0; s < c.sets && left > 0; s++ {
-			if c.validMask[s]&bit != 0 {
-				c.writeBack(s, w)
-				left--
+		for ci := 0; ci < len(c.chunks) && left > 0; ci++ {
+			k := c.chunks[ci]
+			if k == nil {
+				continue
+			}
+			for j := 0; j < chunkSets && left > 0; j++ {
+				if k.valid[j]&bit != 0 {
+					c.writeBack(ci*chunkSets+j, w)
+					left--
+				}
 			}
 		}
 	}
@@ -712,29 +607,29 @@ func (c *L2) InvalidateWays(mask uint32) {
 	c.invalidateWays(mask)
 }
 
-// invalidateWays drops the selected ways' valid lines. Invalid lines are
-// skipped entirely (validMask gate — this walk was the single hottest
-// function in the campaign profile before it), and invalidation simply
-// detaches the line's buffer: only valid lines are ever read, so nothing
-// needs zeroing, and a buffer shared with a clone stays intact for the
-// clone. The next fill installs a fresh buffer.
+// invalidateWays drops the selected ways' valid lines by clearing their
+// valid and dirty bits: only valid lines are ever read, so nothing needs
+// zeroing, and empty chunks are skipped whole. The next fill overwrites the
+// line.
 func (c *L2) invalidateWays(mask uint32) {
-	for w := 0; w < c.cfg.Ways; w++ {
-		bit := uint32(1) << w
-		if mask&bit == 0 {
+	for ci, k := range c.chunks {
+		if k == nil {
 			continue
 		}
-		for s := 0; s < c.sets && c.validCount[w] > 0; s++ {
-			if c.validMask[s]&bit == 0 {
-				continue
+		hit := false
+		for _, vm := range k.valid {
+			hit = hit || vm&mask != 0
+		}
+		if !hit {
+			continue
+		}
+		k = c.wchunk(ci * chunkSets)
+		for j, vm := range k.valid {
+			for drop := vm & mask; drop != 0; drop &= drop - 1 {
+				c.validCount[bits.TrailingZeros32(drop)]--
 			}
-			ln := &c.lines[s][w]
-			ln.valid = false
-			ln.dirty = false
-			ln.holder = 0
-			c.dropBuf(ln)
-			c.validMask[s] &^= bit
-			c.validCount[w]--
+			k.valid[j] = vm &^ mask
+			k.dirty[j] &^= mask
 		}
 	}
 }
@@ -775,13 +670,10 @@ func (c *L2) InvalidateRange(addr mem.PhysAddr, n int) {
 		// Route through index() so "by PA" maintenance finds the line under
 		// the randomized index permutation too.
 		set, tag := c.index(mem.PhysAddr(ln << c.lineShift))
-		if w := c.lookup(set, tag); w >= 0 {
-			e := &c.lines[set][w]
-			e.valid = false
-			e.dirty = false
-			e.holder = 0
-			c.dropBuf(e)
-			c.validMask[set] &^= 1 << w
+		if _, w := c.lookup(set, tag); w >= 0 {
+			k, j := c.wchunk(set), set&(chunkSets-1)
+			k.valid[j] &^= 1 << w
+			k.dirty[j] &^= 1 << w
 			c.validCount[w]--
 		}
 	}
@@ -797,7 +689,7 @@ func (c *L2) CleanRange(addr mem.PhysAddr, n int) {
 	last := (uint64(addr) + uint64(n) - 1) / uint64(c.cfg.LineSize)
 	for ln := first; ln <= last; ln++ {
 		set, tag := c.index(mem.PhysAddr(ln << c.lineShift))
-		if w := c.lookup(set, tag); w >= 0 {
+		if _, w := c.lookup(set, tag); w >= 0 {
 			c.writeBack(set, w)
 		}
 	}
@@ -807,11 +699,11 @@ func (c *L2) CleanRange(addr mem.PhysAddr, n int) {
 // resident, and if so in which way and whether dirty. Test instrumentation.
 func (c *L2) Probe(addr mem.PhysAddr) (hit bool, way int, dirty bool) {
 	set, tag := c.index(addr)
-	w := c.lookup(set, tag)
+	k, w := c.lookup(set, tag)
 	if w < 0 {
 		return false, -1, false
 	}
-	return true, w, c.lines[set][w].dirty
+	return true, w, k.dirty[set&(chunkSets-1)]&(1<<w) != 0
 }
 
 // Snoop copies the cached bytes for addr into dst without timing charges or
@@ -822,93 +714,64 @@ func (c *L2) Snoop(addr mem.PhysAddr, dst []byte) bool {
 	ok := true
 	c.splitByLine(addr, dst, func(a mem.PhysAddr, frag []byte) {
 		set, tag := c.index(a)
-		w := c.lookup(set, tag)
+		k, w := c.lookup(set, tag)
 		if w < 0 {
 			ok = false
 			return
 		}
 		off := int(uint64(a) & c.offMask)
-		copy(frag, c.lineData(&c.lines[set][w])[off:off+len(frag)])
+		copy(frag, c.lineData(k, c.slot(set, w))[off:off+len(frag)])
 	})
 	return ok
 }
 
 // Clone returns an independent copy of the cache — geometry, lockdown
 // register, victim pointers, stats, and every valid line's contents — wired
-// to the given clock, meter, and bus. Valid lines' data is shared
-// copy-on-write: both sides keep reading the same buffers, and whichever
-// side first mutates a line (partial write, refill, invalidate) takes a
-// private copy. Clone cost is therefore O(valid-line metadata), not O(data);
-// a snapshot fork of a boot-warmed 1 MB cache copies pointers, not
-// megabytes. Observability and fault wiring are left to the caller: a
-// cloned world re-runs SetObs/SetFaults against its own registry and
-// injector.
+// to the given clock, meter, and bus. The clone copies the chunk table, not
+// the chunks: both sides share every chunk, and whichever side first writes
+// to one takes a private copy (wchunk). Clone therefore costs one pointer
+// per chunkSets sets, whatever the cache holds. Observability and fault
+// wiring are left to the caller: a cloned world re-runs SetObs/SetFaults
+// against its own registry and injector.
 func (c *L2) Clone(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	if c.defl != nil {
 		return c.inflate(clock, meter, b)
 	}
-	// Mark every valid line's buffer shared in the parent first, so the slab
-	// memmove below propagates the flag to the clone in the same pass. A
-	// frozen cache had this done once by FreezeShared and must not be written
-	// again (clones may be taken from it concurrently).
+	// The parent gives up ownership of its chunks, which are now shared. A
+	// frozen cache owns none and must not be written (clones may be taken
+	// from it concurrently).
 	if !c.frozen {
-		for s := 0; s < c.sets; s++ {
-			vm := c.validMask[s]
-			for vm != 0 {
-				w := bits.TrailingZeros32(vm)
-				vm &= vm - 1
-				c.lines[s][w].shared = true
-			}
-		}
+		clear(c.owned)
 	}
-	n := newL2(c.cfg, clock, meter, c.costs, c.energy, b, false)
-	copy(n.slab, c.slab)
-	copy(n.validMask, c.validMask)
+	n := New(c.cfg, clock, meter, c.costs, c.energy, b)
+	copy(n.chunks, c.chunks)
 	copy(n.validCount, c.validCount)
-	copy(n.tags, c.tags)
-	copy(n.victim, c.victim)
 	n.allocMask = c.allocMask
 	n.stats = c.stats
 	n.master = c.master
 	n.indexKey = c.indexKey
-	n.bufs = append([][]byte(nil), c.bufs...)
-	n.freeBufs = append([]uint32(nil), c.freeBufs...)
-	// Free slots still hold reusable buffers on the parent side; the clone
-	// must not reuse those same buffers, so empty them in its table.
-	for _, idx := range n.freeBufs {
-		n.bufs[idx-1] = nil
-	}
 	return n
 }
 
 // ValidLines returns the number of valid lines currently held in way w.
 func (c *L2) ValidLines(w int) int { return c.validCount[w] }
 
-// FreezeShared pins the cache read-only for cloning: every valid line's
-// buffer is marked shared once, so Clone and Deflate against this cache
-// never write to it again and may run concurrently. The caller promises the
-// cache will never be accessed or maintained after the freeze — it exists
-// to serve as the immutable base of a fork/delta population (the fleet's
-// shared boot world). Idempotent.
+// FreezeShared pins the cache read-only for cloning: it gives up ownership
+// of every chunk, so Clone and Deflate against this cache never write to it
+// again and may run concurrently. The caller promises the cache will never
+// be accessed or maintained after the freeze — it exists to serve as the
+// immutable base of a fork/delta population (the fleet's shared boot
+// world). Idempotent.
 func (c *L2) FreezeShared() {
-	if c.frozen {
-		return
-	}
-	for s := 0; s < c.sets; s++ {
-		vm := c.validMask[s]
-		for vm != 0 {
-			w := bits.TrailingZeros32(vm)
-			vm &= vm - 1
-			c.lines[s][w].shared = true
-		}
-	}
+	clear(c.owned)
 	c.frozen = true
 }
 
 // l2Delta is a cache re-encoded against a frozen base: the sparse set of
 // line positions whose (tag, flags, contents) differ from the base, packed
 // line data for the valid ones, sparse victim-pointer diffs, and the scalar
-// registers. ~40 bytes per diverged line instead of ~2 MB of dense arrays.
+// registers. ~48 bytes per diverged line instead of a chunk per touched
+// group of sets.
 type l2Delta struct {
 	base       *L2
 	recs       []deltaLine
@@ -933,12 +796,13 @@ type deltaLine struct {
 	tag    uint64
 }
 
-// Deflate re-encodes the cache as a delta against base, releasing its dense
-// metadata arrays to the clone pool. base must be frozen (FreezeShared) and
-// share this cache's geometry. After Deflate the only legal operations are
-// Clone — which reconstructs a dense, fully independent cache from
-// base+delta — and Release. It returns an estimate of the bytes the delta
-// retains, the cache's marginal cost over the shared base.
+// Deflate re-encodes the cache as a delta against base, dropping its chunk
+// table. base must be frozen (FreezeShared) and share this cache's
+// geometry. Chunks still shared with the base are skipped whole; the rest
+// are compared line by line. After Deflate the only legal operation is
+// Clone, which reconstructs a dense, fully independent cache from
+// base+delta. It returns an estimate of the bytes the delta retains, the
+// cache's marginal cost over the shared base.
 func (c *L2) Deflate(base *L2) int64 {
 	if c.defl != nil {
 		panic("cache: Deflate on an already-deflated cache")
@@ -954,82 +818,82 @@ func (c *L2) Deflate(base *L2) int64 {
 		allocMask: c.allocMask, stats: c.stats, master: c.master,
 		indexKey: c.indexKey, randomized: c.cfg.RandomizedIndex,
 	}
-	ls := c.cfg.LineSize
-	for s := 0; s < c.sets; s++ {
-		cm, bm := c.validMask[s], base.validMask[s]
-		for un := cm | bm; un != 0; {
-			w := bits.TrailingZeros32(un)
-			un &= un - 1
-			bit := uint32(1) << w
-			switch {
-			case cm&bit != 0:
-				ln := &c.lines[s][w]
-				if bm&bit != 0 {
-					bl := &base.lines[s][w]
-					if ln.tag == bl.tag && ln.dirty == bl.dirty && ln.holder == bl.holder {
-						cd, bd := c.lineData(ln), base.lineData(bl)
-						// Same backing buffer (still COW-shared since the
-						// fork), or equal bytes: either way, not a diff.
-						if &cd[0] == &bd[0] || string(cd) == string(bd) {
-							continue
-						}
-					}
+	var none chunk // stands in for a nil chunk: no valid line, zero victims
+	for ci, k := range c.chunks {
+		bk := base.chunks[ci]
+		if k == bk {
+			continue // shared since the fork, or empty on both sides
+		}
+		if k == nil {
+			k = &none
+		}
+		if bk == nil {
+			bk = &none
+		}
+		for j := range k.valid {
+			s := ci*chunkSets + j
+			cm, bm := k.valid[j], bk.valid[j]
+			for un := cm | bm; un != 0; un &= un - 1 {
+				w := bits.TrailingZeros32(un)
+				i, bit := c.slot(s, w), uint32(1)<<w
+				if cm&bit == 0 { // base holds a line here, this cache does not
+					d.recs = append(d.recs, deltaLine{set: int32(s), way: uint8(w)})
+					continue
+				}
+				dirty, cd := k.dirty[j]&bit != 0, c.lineData(k, i)
+				if bm&bit != 0 && k.tags[i] == bk.tags[i] && dirty == (bk.dirty[j]&bit != 0) &&
+					k.holder[i] == bk.holder[i] && string(cd) == string(base.lineData(bk, i)) {
+					continue
 				}
 				d.recs = append(d.recs, deltaLine{
 					set: int32(s), way: uint8(w), valid: true,
-					dirty: ln.dirty, holder: ln.holder, tag: ln.tag,
+					dirty: dirty, holder: k.holder[i], tag: k.tags[i],
 				})
-				d.data = append(d.data, c.lineData(ln)[:ls]...)
-			default: // base holds a line here, this cache does not
-				d.recs = append(d.recs, deltaLine{set: int32(s), way: uint8(w)})
+				d.data = append(d.data, cd...)
 			}
-		}
-		if c.victim[s] != base.victim[s] {
-			d.victimSets = append(d.victimSets, int32(s))
-			d.victimVals = append(d.victimVals, uint8(c.victim[s]))
+			if k.victim[j] != bk.victim[j] {
+				d.victimSets = append(d.victimSets, int32(s))
+				d.victimVals = append(d.victimVals, k.victim[j])
+			}
 		}
 	}
 	c.defl = d
-	c.Release()
-	c.bufs, c.freeBufs, c.dataArena = nil, nil, nil
+	c.chunks, c.owned, c.validCount = nil, nil, nil
 	return c.FootprintBytes()
 }
 
-// inflate reconstructs a dense cache from base+delta. The base is frozen, so
-// cloning it mutates nothing; delta lines are applied with private buffers.
+// inflate reconstructs a dense cache from base+delta: a clone of the frozen
+// base (a chunk-table copy) with the delta records written through wchunk,
+// so only the chunks the delta touches are copied.
 func (c *L2) inflate(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	d := c.defl
 	n := d.base.Clone(clock, meter, b)
 	data := d.data
-	ls := n.cfg.LineSize
 	for _, rec := range d.recs {
 		s, w := int(rec.set), int(rec.way)
-		ln := &n.lines[s][w]
-		bit := uint32(1) << w
-		wasValid := n.validMask[s]&bit != 0
+		k, j, bit := n.wchunk(s), s&(chunkSets-1), uint32(1)<<w
+		wasValid := k.valid[j]&bit != 0
+		k.dirty[j] &^= bit
 		if !rec.valid {
-			ln.valid, ln.dirty, ln.holder = false, false, 0
-			n.dropBuf(ln)
 			if wasValid {
-				n.validMask[s] &^= bit
+				k.valid[j] &^= bit
 				n.validCount[w]--
 			}
 			continue
 		}
-		if ln.buf != 0 {
-			n.dropBuf(ln)
+		i := n.slot(s, w)
+		data = data[copy(n.lineData(k, i), data):]
+		k.tags[i], k.holder[i] = rec.tag, rec.holder
+		if rec.dirty {
+			k.dirty[j] |= bit
 		}
-		copy(n.newBuf(ln), data[:ls])
-		data = data[ls:]
-		ln.valid, ln.dirty, ln.holder, ln.tag = true, rec.dirty, rec.holder, rec.tag
-		n.tags[s*n.cfg.Ways+w] = rec.tag
 		if !wasValid {
-			n.validMask[s] |= bit
+			k.valid[j] |= bit
 			n.validCount[w]++
 		}
 	}
 	for i, s := range d.victimSets {
-		n.victim[s] = int(d.victimVals[i])
+		n.wchunk(int(s)).victim[s&(chunkSets-1)] = d.victimVals[i]
 	}
 	n.allocMask = d.allocMask
 	n.stats = d.stats
@@ -1039,24 +903,23 @@ func (c *L2) inflate(clock *sim.Clock, meter *sim.Meter, b *bus.Bus) *L2 {
 	return n
 }
 
-// FootprintBytes estimates the private bytes this cache pins beyond any
-// shared base: for a dense cache, its metadata arrays plus line buffers; for
-// a deflated one, the delta records and packed data. Comparative gauge for
-// the fleet's parked-bytes accounting, not an exact allocator measurement.
+// FootprintBytes estimates the bytes this cache pins in its current
+// encoding: for a dense cache, its chunk table plus every chunk it
+// references (shared or private); for a deflated one, the delta records and
+// packed data. Comparative gauge for the fleet's parked-bytes accounting,
+// not an exact allocator measurement.
 func (c *L2) FootprintBytes() int64 {
 	if d := c.defl; d != nil {
 		const recBytes = 16 // deltaLine struct, padded
 		return int64(len(d.recs))*recBytes + int64(len(d.data)) +
 			int64(len(d.victimSets))*5 + 64
 	}
-	nline := int64(c.sets * c.cfg.Ways)
-	meta := nline*16 /* line */ + nline*8 /* tags */ +
-		int64(c.sets)*(4 /* validMask */ +8 /* victim */) + int64(c.cfg.Ways)*8
-	var bufBytes int64
-	for _, b := range c.bufs {
-		if b != nil {
-			bufBytes += int64(len(b))
+	perChunk := int64(chunkSets * (9 /* valid + dirty + victim */ + c.cfg.Ways*(9 /* tag + holder */ +c.cfg.LineSize)))
+	n := int64(len(c.chunks))*9 /* table + owned */ + int64(c.cfg.Ways)*8
+	for _, k := range c.chunks {
+		if k != nil {
+			n += perChunk
 		}
 	}
-	return meta + bufBytes
+	return n
 }

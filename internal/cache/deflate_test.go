@@ -2,51 +2,69 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"sentry/internal/mem"
 )
 
-// cachesIdentical compares every architecturally visible piece of state:
-// per-position validity, flags, tags, contents, victim pointers, lockdown,
-// and stats.
+// cachesIdentical fails the test unless a and b agree in every
+// architecturally visible piece of state (see diffCaches).
 func cachesIdentical(t *testing.T, a, b *L2) {
 	t.Helper()
+	if d := diffCaches(a, b); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// diffCaches compares per-position validity, flags, tags, contents, victim
+// pointers, lockdown and stats, and describes the first difference ("" if
+// none). A nil chunk reads as an empty one.
+func diffCaches(a, b *L2) string {
 	if a.stats != b.stats {
-		t.Fatalf("stats diverged: %+v vs %+v", a.stats, b.stats)
+		return fmt.Sprintf("stats diverged: %+v vs %+v", a.stats, b.stats)
 	}
 	if a.allocMask != b.allocMask || a.master != b.master || a.indexKey != b.indexKey {
-		t.Fatal("registers diverged")
+		return "registers diverged"
 	}
+	var none chunk
 	for s := 0; s < a.sets; s++ {
-		if a.validMask[s] != b.validMask[s] {
-			t.Fatalf("set %d validMask %#x vs %#x", s, a.validMask[s], b.validMask[s])
+		ka, kb, j := a.chunkOf(s), b.chunkOf(s), s%chunkSets
+		if ka == nil {
+			ka = &none
 		}
-		if a.victim[s] != b.victim[s] {
-			t.Fatalf("set %d victim %d vs %d", s, a.victim[s], b.victim[s])
+		if kb == nil {
+			kb = &none
 		}
-		for w := 0; w < a.cfg.Ways; w++ {
-			la, lb := &a.lines[s][w], &b.lines[s][w]
-			if la.valid != lb.valid {
-				t.Fatalf("set %d way %d valid %v vs %v", s, w, la.valid, lb.valid)
+		if ka.valid[j] != kb.valid[j] {
+			return fmt.Sprintf("set %d valid mask %#x vs %#x", s, ka.valid[j], kb.valid[j])
+		}
+		if ka.dirty[j] != kb.dirty[j] {
+			return fmt.Sprintf("set %d dirty mask %#x vs %#x", s, ka.dirty[j], kb.dirty[j])
+		}
+		if ka.victim[j] != kb.victim[j] {
+			return fmt.Sprintf("set %d victim %d vs %d", s, ka.victim[j], kb.victim[j])
+		}
+		for vm := ka.valid[j]; vm != 0; vm &= vm - 1 {
+			w := bits.TrailingZeros32(vm)
+			i := a.slot(s, w)
+			if ka.tags[i] != kb.tags[i] || ka.holder[i] != kb.holder[i] {
+				return fmt.Sprintf("set %d way %d tag/holder diverged: %#x/%#x vs %#x/%#x",
+					s, w, ka.tags[i], ka.holder[i], kb.tags[i], kb.holder[i])
 			}
-			if !la.valid {
-				continue
-			}
-			if la.tag != lb.tag || la.dirty != lb.dirty || la.holder != lb.holder {
-				t.Fatalf("set %d way %d meta diverged", s, w)
-			}
-			if !bytes.Equal(a.lineData(la), b.lineData(lb)) {
-				t.Fatalf("set %d way %d contents diverged", s, w)
+			if !bytes.Equal(a.lineData(ka, i), b.lineData(kb, i)) {
+				return fmt.Sprintf("set %d way %d contents diverged", s, w)
 			}
 		}
 	}
 	for w := 0; w < a.cfg.Ways; w++ {
 		if a.validCount[w] != b.validCount[w] {
-			t.Fatalf("way %d validCount %d vs %d", w, a.validCount[w], b.validCount[w])
+			return fmt.Sprintf("way %d validCount %d vs %d", w, a.validCount[w], b.validCount[w])
 		}
 	}
+	return ""
 }
 
 // driveTraffic applies a deterministic mixed workload derived from ops.

@@ -109,33 +109,43 @@ func TestDeltaParkQuick(t *testing.T) {
 	}
 }
 
-// TestConcurrentDeltaParks deflates many forks of one frozen base from
-// concurrent goroutines — the fleet's park path under load. Under -race this
-// proves Deflate never writes to the shared base; every hydration must agree.
+// TestConcurrentDeltaParks deflates and hydrates many forks of one frozen
+// base from concurrent goroutines — the fleet's park path under load — once
+// per cache profile, so the AutoLock holder updates and the randomized index
+// run concurrently against one shared base too. Each hydration then replays
+// half the schedule, writing to chunks it shares with the base. Under -race
+// this proves Deflate, hydration and the writes after it never write to the
+// shared base; every hydration must agree.
 func TestConcurrentDeltaParks(t *testing.T) {
-	cfg := Config{Platform: "tegra3", Defences: AllDefences(), Steps: 40}
-	sched := Generate(sim.NewRNG(7), 40, cfg.Faults)
-	base := NewWorld(cfg, 1)
-	base.FreezeBase()
-	snapBase := snapshot.Adopt(base)
+	for _, prof := range []string{CacheInsecure, CacheBaseline, CacheAutoLock, CacheRandomized, CacheReserved} {
+		t.Run(prof, func(t *testing.T) {
+			cfg := Config{Platform: "tegra3", Defences: AllDefences(), Steps: 40,
+				Cache: prof, Attacks: "prime-probe,evict-reload,occupancy"}
+			sched := GenerateFor(cfg, sim.NewRNG(7), 40)
+			base := NewWorld(cfg, 1)
+			base.FreezeBase()
+			snapBase := snapshot.Adopt(base)
 
-	const n = 8
-	worlds := make([]*World, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := snapBase.Fork()
-			replayFrom(w, sched)
-			snap, _ := snapshot.CaptureDelta[*World, *World](w, base)
-			worlds[i] = snap.ForkFromDelta()
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if d := DiffWorlds(worlds[0], worlds[i]); d != "" {
-			t.Fatalf("concurrent delta park %d diverged: %s", i, d)
-		}
+			const n = 8
+			worlds := make([]*World, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := snapBase.Fork()
+					replayFrom(w, sched)
+					snap, _ := snapshot.CaptureDelta[*World, *World](w, base)
+					worlds[i] = snap.ForkFromDelta()
+					replayFrom(worlds[i], sched[:len(sched)/2])
+				}(i)
+			}
+			wg.Wait()
+			for i := 1; i < n; i++ {
+				if d := DiffWorlds(worlds[0], worlds[i]); d != "" {
+					t.Fatalf("concurrent delta park %d diverged: %s", i, d)
+				}
+			}
+		})
 	}
 }

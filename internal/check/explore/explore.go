@@ -544,24 +544,14 @@ func (e *explorer) park(n *node, w *check.World, children int) {
 	}
 	e.lruMu.Unlock()
 	for _, vn := range victims {
-		// The evicted snapshot exclusively owns its world (forks taken from
-		// it are independent), so hand it off and recycle its fork-private
-		// allocations into the clone pool instead of dropping them for the
-		// collector. Children that still hold references replay from an
-		// ancestor, exactly as before.
-		var hw *check.World
+		// Drop the evicted snapshot; forks taken from it are independent.
+		// Children that still hold references replay from an ancestor.
 		vn.mu.Lock()
 		if vn.snap != nil {
-			if w, ok := vn.snap.HandOff(); ok {
-				hw = w
-			}
 			vn.snap = nil
 			e.evictions.Add(1)
 		}
 		vn.mu.Unlock()
-		if hw != nil {
-			hw.Release()
-		}
 	}
 }
 
@@ -582,21 +572,17 @@ func (e *explorer) dropFromLRU(n *node) {
 	e.lruMu.Unlock()
 }
 
-// endSchedule closes out a leaf: bank violating and near-miss prefixes,
-// then recycle the world — it was this task's exclusive fork (or
-// hand-off) and nothing references it once the leaf is decided.
+// endSchedule closes out a leaf: bank violating and near-miss prefixes.
 func (e *explorer) endSchedule(n *node, w *check.World, violated bool) {
 	e.leaves.Add(1)
 	if violated {
 		e.bankLine(e.pathOps(n))
-		w.Release()
 		return
 	}
 	if w.Dead() && w.NearMiss() {
 		e.nearMisses.Add(1)
 		e.bankLine(e.pathOps(n))
 	}
-	w.Release()
 }
 
 func (e *explorer) pathOps(n *node) check.Schedule {
@@ -673,7 +659,6 @@ func (e *explorer) replayCorpus() {
 			e.nearMisses.Add(1)
 			e.bankLine(run)
 		}
-		w.Release()
 	}
 }
 
@@ -842,7 +827,6 @@ func Baseline(cfg Config) *Result {
 				w := boot.Fork()
 				v := check.ReplayFrom(w, paths[i])
 				recs[i] = rec{v: v, dead: w.Dead(), miss: v == nil && w.NearMiss(), len: len(paths[i])}
-				w.Release()
 			}
 		}()
 	}

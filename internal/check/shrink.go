@@ -63,10 +63,7 @@ func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched S
 		if boot == nil {
 			return Replay(cfg, seed, s).Violation
 		}
-		w := boot.Fork()
-		v := replayFrom(w, s)
-		w.Release()
-		return v
+		return replayFrom(boot.Fork(), s)
 	}
 	v := violates(sched)
 	if v == nil {
@@ -97,9 +94,7 @@ func ShrinkFrom(boot *snapshot.Snapshot[*World], cfg Config, seed int64, sched S
 					// Checkpoint path: fork the advanced prefix and replay
 					// only the candidate's suffix.
 					replays++
-					cw := prefixW.Fork()
-					nv = replayFrom(cw, cur[start+chunk:])
-					cw.Release()
+					nv = replayFrom(prefixW.Fork(), cur[start+chunk:])
 				} else {
 					nv = violates(cand)
 				}

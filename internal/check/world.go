@@ -685,12 +685,10 @@ func (w *World) Fork() *World {
 	return n
 }
 
-// Release recycles the world's fork-private allocations into the clone
-// pool and leaves the world unusable. Call it only as the exclusive owner
-// of a world that will never be touched again — a finished shrink
-// candidate, a dead explorer leaf. Forks taken earlier stay valid: shared
-// state is copy-on-write and never recycled.
-func (w *World) Release() { w.S.Release() }
+// Release does nothing (see soc.SoC.Release): a dead world is left to the
+// garbage collector. It remains for callers outside this module until they
+// drop it.
+func (w *World) Release() {}
 
 // FreezeBase pins the world as the immutable base of a delta-encoded
 // population (see soc.SoC.FreezeBase): no op may be applied to it afterwards.

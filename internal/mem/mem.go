@@ -46,6 +46,10 @@ type Store struct {
 	size  uint64
 	pages map[uint64]*[PageSize]byte // private, writable pages
 	base  map[uint64]*[PageSize]byte // frozen COW layer; nil for a flat store
+	// borrowed marks a private layer that holds frozen pages Rebase kept by
+	// reference: the store seals before its first write, so the write
+	// copies out of the base instead of landing in a shared page.
+	borrowed bool
 
 	// Recently touched pages, direct-mapped by a multiplicative hash of the
 	// page number: access streams are sequential but interleave a few pages
@@ -55,7 +59,8 @@ type Store struct {
 	// run exactly one L2-capacity apart, a power-of-two page distance that
 	// would make both streams collide in every low-bits-indexed slot.
 	// cacheRW marks slots holding private pages; a slot caching a frozen
-	// base page satisfies reads but never the write path.
+	// page (base, or borrowed by Rebase) satisfies reads but never the
+	// write path.
 	cachePN   [pageCacheSlots]uint64
 	cachePage [pageCacheSlots]*[PageSize]byte
 	cacheRW   [pageCacheSlots]bool
@@ -84,7 +89,7 @@ func (s *Store) lookup(pn uint64) *[PageSize]byte {
 		return s.cachePage[slot]
 	}
 	p := s.pages[pn]
-	rw := p != nil
+	rw := p != nil && !s.borrowed
 	if p == nil && s.base != nil {
 		p = s.base[pn]
 	}
@@ -100,6 +105,9 @@ func (s *Store) materialise(pn uint64) *[PageSize]byte {
 	slot := pageSlot(pn)
 	if s.cacheRW[slot] && s.cachePN[slot] == pn {
 		return s.cachePage[slot]
+	}
+	if s.borrowed {
+		s.Seal()
 	}
 	p := s.pages[pn]
 	if p == nil {
@@ -134,6 +142,7 @@ func (s *Store) Seal() {
 	}
 	s.base = nb
 	s.pages = make(map[uint64]*[PageSize]byte)
+	s.borrowed = false
 	s.cacheRW = [pageCacheSlots]bool{} // every cached page is now frozen
 }
 
@@ -207,7 +216,8 @@ func (s *Store) Write(off uint64, src []byte) {
 }
 
 // zeroPage is the comparison target for untouched (architecturally zero)
-// pages during Rebase.
+// pages during Rebase, and the shared page Rebase shadows lost base pages
+// with. It is never written.
 var zeroPage [PageSize]byte
 
 // Rebase re-encodes the store as a delta against a sealed base store: after
@@ -222,6 +232,10 @@ var zeroPage [PageSize]byte
 // device's stores drop their merged per-fork base maps (O(every page the
 // boot image touched) each) and keep O(pages diverged since boot). The next
 // Fork re-merges via Seal as usual, so hydration needs no special path.
+//
+// Frozen pages carried over from the old base, and the zero shadows, are
+// kept by reference, not copied: they are immutable, and the store seals
+// before its next write (see borrowed) so no write reaches them.
 func (s *Store) Rebase(base *Store) int {
 	if s == base {
 		panic("mem: Rebase against self")
@@ -233,36 +247,24 @@ func (s *Store) Rebase(base *Store) int {
 		panic("mem: Rebase against an unsealed base (Seal it first)")
 	}
 	delta := make(map[uint64]*[PageSize]byte)
-	keep := func(pn uint64, p *[PageSize]byte, owned bool) {
-		if !owned {
-			cp := new([PageSize]byte)
-			if p != nil {
-				*cp = *p
-			}
-			p = cp
-		}
-		delta[pn] = p
+	differs := func(p, bp *[PageSize]byte) bool {
+		return bp != p && ((bp == nil && *p != zeroPage) || (bp != nil && *p != *bp))
 	}
 	// Pages this store can see: private shadows first, then its old base.
 	for pn, p := range s.pages {
-		if bp := base.base[pn]; bp != p {
-			if (bp == nil && *p != zeroPage) || (bp != nil && *p != *bp) {
-				keep(pn, p, true) // private pages are exclusively owned
-			}
+		if differs(p, base.base[pn]) {
+			delta[pn] = p
 		}
 	}
+	borrowed := s.borrowed
 	for pn, p := range s.base {
-		if _, shadowed := s.pages[pn]; shadowed {
-			continue
-		}
-		if bp := base.base[pn]; bp != p {
-			if (bp == nil && *p != zeroPage) || (bp != nil && *p != *bp) {
-				keep(pn, p, false) // old-base pages are frozen and shared
-			}
+		if _, shadowed := s.pages[pn]; !shadowed && differs(p, base.base[pn]) {
+			delta[pn] = p
+			borrowed = true
 		}
 	}
 	// Base pages this store has lost (ZeroAll, or never inherited): shadow
-	// them with explicit zero pages so reads keep returning zeroes.
+	// them with the zero page so reads keep returning zeroes.
 	for pn, bp := range base.base {
 		if _, ok := delta[pn]; ok {
 			continue
@@ -271,11 +273,13 @@ func (s *Store) Rebase(base *Store) int {
 			continue // visible above; already compared
 		}
 		if *bp != zeroPage {
-			keep(pn, nil, false)
+			delta[pn] = &zeroPage
+			borrowed = true
 		}
 	}
 	s.pages = delta
 	s.base = base.base
+	s.borrowed = borrowed
 	s.cachePN = [pageCacheSlots]uint64{}
 	s.cachePage = [pageCacheSlots]*[PageSize]byte{}
 	s.cacheRW = [pageCacheSlots]bool{}
@@ -293,6 +297,7 @@ func (s *Store) ResidentPages() int { return len(s.pages) + len(s.base) }
 func (s *Store) ZeroAll() {
 	s.pages = make(map[uint64]*[PageSize]byte)
 	s.base = nil
+	s.borrowed = false
 	s.cachePage = [pageCacheSlots]*[PageSize]byte{}
 	s.cacheRW = [pageCacheSlots]bool{}
 }

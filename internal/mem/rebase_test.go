@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -114,9 +115,76 @@ func TestRebaseQuick(t *testing.T) {
 		}
 		s.Rebase(base)
 		storesEqual(t, s, mirror)
+		rebaseCycles(t, base, s, ops)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// image reads a store's whole contents.
+func image(s *Store) []byte {
+	b := make([]byte, s.Size())
+	s.Read(0, b)
+	return b
+}
+
+// rebaseCycles runs repeated park/hydrate cycles from a rebased store —
+// fork, write, rebase — then writes straight into the last rebased store
+// and wipes another. Rebase keeps frozen pages by reference, so after each
+// step the base, the previously parked store and a never-written sibling
+// fork must all still read their old bytes.
+func rebaseCycles(t *testing.T, base, parked *Store, ops []uint32) {
+	t.Helper()
+	baseImg := image(base)
+	unchanged := func(step string, parked, sib *Store, parkedImg []byte) {
+		t.Helper()
+		if !bytes.Equal(image(base), baseImg) {
+			t.Fatalf("%s: the base changed", step)
+		}
+		if !bytes.Equal(image(parked), parkedImg) {
+			t.Fatalf("%s: the previously parked store changed", step)
+		}
+		if !bytes.Equal(image(sib), parkedImg) {
+			t.Fatalf("%s: a sibling fork changed", step)
+		}
+	}
+	for cycle := 0; cycle < 3; cycle++ {
+		parkedImg := image(parked)
+		sib := parked.Fork()
+		live := parked.Fork()
+		for i, op := range ops {
+			if i%3 == cycle {
+				live.Write(uint64(op)%(live.Size()-4), []byte{byte(cycle), byte(op), 0xC0, 0xDE})
+			}
+		}
+		want := image(live)
+		live.Rebase(base)
+		if !bytes.Equal(image(live), want) {
+			t.Fatalf("cycle %d: rebase changed the store's contents", cycle)
+		}
+		unchanged(fmt.Sprintf("cycle %d", cycle), parked, sib, parkedImg)
+
+		if cycle == 2 {
+			// Write straight into the rebased store, reading each page
+			// first so the page cache holds it, and wipe a second one.
+			wiped := parked.Fork()
+			wiped.Rebase(base)
+			for _, off := range live.TouchedPages() {
+				var b [1]byte
+				live.Read(off+7, b[:])
+				live.SetByte(off+7, b[0]^0xFF)
+			}
+			unchanged("direct write", parked, sib, parkedImg)
+			wiped.ZeroAll()
+			wiped.Write(PageSize, []byte("after wipe"))
+			unchanged("zero after rebase", parked, sib, parkedImg)
+			if n := wiped.Rebase(base); n == 0 && len(base.TouchedPages()) > 0 {
+				t.Fatal("a wiped store rebased to no delta against a non-empty base")
+			}
+			unchanged("rebase after wipe", parked, sib, parkedImg)
+		}
+		parked = live
 	}
 }

@@ -68,8 +68,8 @@ func Adopt[W Forkable[W]](w W) *Snapshot[W] {
 // Deflater is a world that can re-encode its heavyweight state as a delta
 // against a frozen base world of type B, retaining only what diverged.
 // Deflate returns an estimate of the bytes still held privately; after it,
-// the world must never execute again — Fork (which reconstructs dense
-// state) and release are the only legal operations.
+// the world must never execute again — Fork, which reconstructs dense
+// state, is the only legal operation.
 type Deflater[W, B any] interface {
 	Forkable[W]
 	Deflate(base B) int64
@@ -77,8 +77,8 @@ type Deflater[W, B any] interface {
 
 // CaptureDelta parks w as a delta snapshot encoded against base: w is
 // deflated in place — merged copy-on-write page maps give way to the base's
-// shared maps plus the diverged pages, dense cache arrays to a sparse line
-// delta — and then adopted, so a parked device costs O(divergence from
+// shared maps plus the diverged pages, the cache's chunk table to a sparse
+// line delta — and then adopted, so a parked device costs O(divergence from
 // base) instead of O(everything it ever touched). The caller must never
 // touch w again (as with Adopt), and base must be frozen for concurrent
 // reads (e.g. Device.FreezeBase). Hydrate with ForkFromDelta. The returned

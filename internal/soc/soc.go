@@ -262,15 +262,15 @@ func (s *SoC) FreezeBase() {
 // Deflate re-encodes the platform's heavyweight state as a delta against a
 // FreezeBase'd base platform: both memory stores are rebased onto the base's
 // sealed page maps (keeping only diverged pages, see mem.Store.Rebase) and
-// the L2's dense arrays are replaced by a sparse line delta (released to the
-// clone pool, see cache.L2.Deflate). Contents are unchanged — the next Fork
+// the L2's chunk table is replaced by a sparse line delta (see
+// cache.L2.Deflate). Contents are unchanged — the next Fork
 // reconstructs a byte-identical platform — only the resting memory cost
 // drops from O(everything the world ever touched) to O(divergence from the
 // base). Returns an estimate of the bytes still retained privately.
 //
 // Only an exclusively owned, no-longer-running platform (a parked snapshot)
-// may be deflated; after Deflate, Fork and Release are the only legal
-// operations until a Fork re-inflates a dense copy.
+// may be deflated; after Deflate, Fork is the only legal operation, and it
+// re-inflates a dense copy.
 func (s *SoC) Deflate(base *SoC) int64 {
 	n := int64(s.IRAM.Rebase(base.IRAM)) + int64(s.DRAM.Rebase(base.DRAM))
 	bytes := n*mem.PageSize + s.L2.Deflate(base.L2)
@@ -282,8 +282,8 @@ func (s *SoC) Deflate(base *SoC) int64 {
 
 // FootprintBytes estimates the platform's resting memory cost in its
 // current encoding, on the same scale Deflate reports: resident page bytes
-// of both stores plus the L2's footprint (dense arrays, or the sparse delta
-// once deflated) plus the flat-struct constant. A dense (live) platform is
+// of both stores plus the L2's footprint (the chunks it references, or the
+// sparse delta once deflated) plus the flat-struct constant. A dense (live) platform is
 // measured by this; a delta-parked one by Deflate's return — the ratio is
 // the fleet's bytes-per-parked-device reduction.
 func (s *SoC) FootprintBytes() int64 {
@@ -331,14 +331,10 @@ func (s *SoC) Fork() *SoC {
 	return n
 }
 
-// Release recycles the platform's fork-private allocations (today: the L2
-// metadata arrays) into the clone pool and leaves the SoC unusable. Only
-// an exclusive owner — a fork or hand-off nobody else references — may
-// call it; memory pages stay untouched because they may be shared
-// copy-on-write with live forks.
-func (s *SoC) Release() {
-	s.L2.Release()
-}
+// Release does nothing. Forks share the L2 and memory copy-on-write and
+// recycle nothing, so a dead platform is left to the garbage collector.
+// It remains for callers outside this module until they drop it.
+func (s *SoC) Release() {}
 
 // Instrument wires an observability layer through every hardware component.
 // Either argument may be nil (tracing without metrics, or vice versa).
