@@ -71,6 +71,11 @@ func Contains(st *mem.Store, needle []byte) bool {
 // images: bit decay collapses individual bytes toward the ground state, but
 // a copy that survives in all but a few positions is still legible to an
 // attacker. With maxMismatch zero it degenerates to Contains.
+//
+// A window within k mismatches matches at least one of k+1 disjoint pieces
+// of the needle exactly (pigeonhole), so only the offsets where bytes.Index
+// finds a piece are counted. With k >= len(needle) every piece would be
+// empty, and every window is counted.
 func FuzzyContains(st *mem.Store, needle []byte, maxMismatch int) bool {
 	if len(needle) == 0 {
 		return true
@@ -86,23 +91,57 @@ func FuzzyContains(st *mem.Store, needle []byte, maxMismatch int) bool {
 			n = size - base
 		}
 		st.Read(base, buf[:n])
-		win := buf[:n]
-		for off := 0; off+len(needle) <= len(win); off++ {
-			bad := 0
-			for i, b := range needle {
-				if win[off+i] != b {
-					bad++
-					if bad > maxMismatch {
-						break
-					}
-				}
+		if fuzzyIndex(buf[:n], needle, maxMismatch) {
+			return true
+		}
+	}
+	return false
+}
+
+// fuzzyIndex reports whether some window of win is within maxMismatch
+// (at least 1) mismatches of needle.
+func fuzzyIndex(win, needle []byte, maxMismatch int) bool {
+	last := len(win) - len(needle) // the last window offset
+	if last < 0 {
+		return false
+	}
+	if maxMismatch >= len(needle) {
+		return true // every window is within budget
+	}
+	pieces := maxMismatch + 1
+	for p := 0; p < pieces; p++ {
+		lo, hi := p*len(needle)/pieces, (p+1)*len(needle)/pieces
+		for from := lo; ; from++ {
+			i := bytes.Index(win[from:], needle[lo:hi])
+			if i < 0 {
+				break
 			}
-			if bad <= maxMismatch {
+			from += i
+			off := from - lo
+			if off > last {
+				break
+			}
+			if mismatches(win[off:off+len(needle)], needle, maxMismatch) <= maxMismatch {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// mismatches counts the positions where a and b differ, stopping once the
+// count exceeds limit.
+func mismatches(a, b []byte, limit int) int {
+	bad := 0
+	for i, c := range b {
+		if a[i] != c {
+			bad++
+			if bad > limit {
+				break
+			}
+		}
+	}
+	return bad
 }
 
 // maxScheduleViolations is the damage budget of the error-tolerant
@@ -129,6 +168,8 @@ func FindAESKeys(st *mem.Store) [][]byte {
 	zero := make([]byte, len(buf))
 	size := st.Size()
 	decoded := make([]uint32, 0, len(buf)/4)
+	lin := make([]int, 0, len(buf)/4+1)
+	step := make([]int, 0, len(buf)/4)
 	for _, base := range st.TouchedPages() {
 		n := uint64(len(buf))
 		if base+n > size {
@@ -152,13 +193,35 @@ func FindAESKeys(st *mem.Store) [][]byte {
 		for o := 0; o+4 <= int(n); o += 4 {
 			decoded = append(decoded, binary.BigEndian.Uint32(buf[o:]))
 		}
+		// The 30 relations with i%4 != 0 are linear, w[i] == w[i-4]^w[i-1],
+		// so whether one holds depends only on the absolute word index:
+		// decide each once per word. lin[j] counts the failures among words
+		// [0, j), and step[j] those among words j, j-4, j-8, ... A window at
+		// word o owns the failures at o+4..o+43 except o+4, o+8, ..., o+40,
+		// whose relations feed back through the S-box instead.
+		lin, step = append(lin[:0], 0), step[:0]
+		for j, w := range decoded {
+			fail := 0
+			if j >= 4 && w != decoded[j-4]^decoded[j-1] {
+				fail = 1
+			}
+			lin = append(lin, lin[j]+fail)
+			if j >= 4 {
+				fail += step[j-4]
+			}
+			step = append(step, fail)
+		}
 		for off := 0; off+schedBytes <= int(n); off += 4 {
-			words := decoded[off/4 : off/4+schedWords]
-			// Prefilter with an early exit: walk the expansion relations in
-			// order and bail as soon as the damage budget is blown. Random
-			// data breaks essentially every relation, so almost all windows
-			// die after the first dozen-odd checks instead of evaluating all
-			// 40 and reconstructing.
+			o := off / 4
+			// Random data breaks essentially every relation, so nearly every
+			// window's linear failures alone blow the damage budget: skip it
+			// in O(1).
+			if lin[o+schedWords]-lin[o+4]-(step[o+40]-step[o]) > maxScheduleViolations {
+				continue
+			}
+			words := decoded[o : o+schedWords]
+			// The survivors get the exact count, with an early exit once the
+			// damage budget is blown.
 			bad := 0
 			for i := 4; i < schedWords && bad <= maxScheduleViolations; i++ {
 				if words[i] != words[i-4]^aes.ScheduleF(i, words[i-1]) {

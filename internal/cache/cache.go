@@ -73,7 +73,9 @@ const chunkSets = 16
 // clones: the line metadata, valid masks, victim pointers and line contents
 // of chunkSets consecutive sets. A chunk reachable from more than one cache
 // is immutable; wchunk copies it before the first write. A nil chunk holds
-// no valid line and zero victim pointers.
+// no valid line and zero victim pointers. A victim-only chunk (nil tags,
+// holder and data) holds no valid line but keeps its victim pointers; it is
+// never owned, so wchunk allocates its line arrays on the first write.
 //
 // Per-line arrays are indexed [set][way] within the chunk (see slot). The
 // tags are dense, so a lookup scans one host cache line per set. An
@@ -212,8 +214,11 @@ func (c *L2) wchunk(set int) *chunk {
 // unshare is wchunk's slow path: it installs a private copy of chunk i.
 func (c *L2) unshare(i uint) *chunk {
 	k := &chunk{}
-	if old := c.chunks[i]; old != nil {
+	old := c.chunks[i]
+	if old != nil {
 		*k = *old
+	}
+	if old != nil && old.tags != nil {
 		k.tags = slices.Clone(old.tags)
 		k.holder = slices.Clone(old.holder)
 		k.data = slices.Clone(old.data)
@@ -359,14 +364,19 @@ func (c *L2) index(addr mem.PhysAddr) (set int, tag uint64) {
 
 // lookup returns the chunk holding set (for reading; nil if empty) and
 // the way holding (set, tag), or -1. Only the ways the set's valid mask
-// names are compared: an invalidated line keeps its stale tag.
+// names are compared: an invalidated line keeps its stale tag, and a
+// victim-only chunk has no tags to read.
 func (c *L2) lookup(set int, tag uint64) (*chunk, int) {
 	k := c.chunkOf(set)
 	if k == nil {
 		return nil, -1
 	}
+	vm := k.valid[set&(chunkSets-1)]
+	if vm == 0 {
+		return k, -1
+	}
 	row := k.tags[c.slot(set, 0):]
-	for vm := k.valid[set&(chunkSets-1)]; vm != 0; vm &= vm - 1 {
+	for ; vm != 0; vm &= vm - 1 {
 		if w := bits.TrailingZeros32(vm); row[w] == tag {
 			return k, w
 		}
@@ -610,17 +620,28 @@ func (c *L2) InvalidateWays(mask uint32) {
 // invalidateWays drops the selected ways' valid lines by clearing their
 // valid and dirty bits: only valid lines are ever read, so nothing needs
 // zeroing, and empty chunks are skipped whole. The next fill overwrites the
-// line.
+// line. A shared chunk the invalidation empties is not copied, only to have
+// its masks cleared: a victim-only chunk replaces it.
 func (c *L2) invalidateWays(mask uint32) {
 	for ci, k := range c.chunks {
 		if k == nil {
 			continue
 		}
-		hit := false
+		hit, kept := false, false
 		for _, vm := range k.valid {
 			hit = hit || vm&mask != 0
+			kept = kept || vm&^mask != 0
 		}
 		if !hit {
+			continue
+		}
+		if !kept && !c.owned[ci] {
+			for _, vm := range k.valid {
+				for drop := vm; drop != 0; drop &= drop - 1 {
+					c.validCount[bits.TrailingZeros32(drop)]--
+				}
+			}
+			c.chunks[ci] = &chunk{victim: k.victim}
 			continue
 		}
 		k = c.wchunk(ci * chunkSets)
@@ -914,11 +935,15 @@ func (c *L2) FootprintBytes() int64 {
 		return int64(len(d.recs))*recBytes + int64(len(d.data)) +
 			int64(len(d.victimSets))*5 + 64
 	}
-	perChunk := int64(chunkSets * (9 /* valid + dirty + victim */ + c.cfg.Ways*(9 /* tag + holder */ +c.cfg.LineSize)))
+	const perSets = chunkSets * 9 // valid + dirty + victim
+	perLines := int64(chunkSets * c.cfg.Ways * (9 /* tag + holder */ + c.cfg.LineSize))
 	n := int64(len(c.chunks))*9 /* table + owned */ + int64(c.cfg.Ways)*8
 	for _, k := range c.chunks {
 		if k != nil {
-			n += perChunk
+			n += perSets
+		}
+		if k != nil && k.tags != nil {
+			n += perLines
 		}
 	}
 	return n

@@ -33,21 +33,46 @@ type Scanner struct {
 	FuzzBudget int
 }
 
+// LiveMark remembers the DRAM write generation (mem.Store.Gen) at which
+// ScanLive last found a platform clean. The zero LiveMark remembers nothing.
+// A mark belongs to one platform and marker; a fork of the platform may
+// carry a copy, because a forked store starts at its parent's generation.
+type LiveMark struct {
+	gen   uint64
+	valid bool
+}
+
 // ScanLive enforces the live locked-state clauses — (dram) and (writeback).
 // Call it only while the device is locked; the unlocked plaintext window is
 // the exposure the paper's threat model accepts.
-func (sc *Scanner) ScanLive() *Violation {
+//
+// With a mark, ScanLive checks only what changed: it skips the (dram) scan
+// while DRAM's write generation still equals the mark, and the (writeback)
+// scan when the masked clean wrote nothing to DRAM. Either skipped scan
+// would re-read bytes already found clean, so the verdict is the full
+// scan's. A clean verdict moves the mark to the current generation. A nil
+// mark scans both clauses in full; it is the reference the marked scan is
+// tested against.
+func (sc *Scanner) ScanLive(mark *LiveMark) *Violation {
+	dram := sc.S.DRAM.Store()
+	full := mark == nil
 	// (dram) the raw DRAM chips, exactly as a physical attacker would read
 	// them this instant.
-	if attack.Contains(sc.S.DRAM.Store(), sc.Marker) {
+	if (full || !mark.valid || mark.gen != dram.Gen()) && attack.Contains(dram, sc.Marker) {
 		return &Violation{Clause: "dram", Detail: "plaintext marker resident in DRAM chips"}
 	}
 	// (writeback) the projection one legal masked clean away: the hardware
 	// may write back any dirty unlocked-way line at any moment, so clean
-	// them (locked ways stay masked out) and rescan.
+	// them (locked ways stay masked out) and rescan. The clean runs even
+	// when nothing is rescanned: it moves dirty bits, bus traffic and
+	// energy.
+	before := dram.Gen()
 	sc.S.L2.CleanWays(sc.K.FlushMask())
-	if attack.Contains(sc.S.DRAM.Store(), sc.Marker) {
+	if (full || dram.Gen() != before) && attack.Contains(dram, sc.Marker) {
 		return &Violation{Clause: "writeback", Detail: "plaintext reaches DRAM on a legal masked write-back"}
+	}
+	if !full {
+		*mark = LiveMark{gen: dram.Gen(), valid: true}
 	}
 	return nil
 }

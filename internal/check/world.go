@@ -304,6 +304,9 @@ type World struct {
 	step      int
 	dead      bool
 	cutLocked bool // the device was locked when power was lost
+	// live is the DRAM generation of the last clean live scan; a scan
+	// skips what no write has touched since (see Scanner.ScanLive).
+	live LiveMark
 }
 
 // busProbe latches the first locked-period plaintext sighting on the
@@ -651,6 +654,7 @@ func (w *World) Fork() *World {
 		marker:  w.marker,
 		volKey0: append([]byte(nil), w.volKey0...),
 		bgOn:    w.bgOn, step: w.step, dead: w.dead, cutLocked: w.cutLocked,
+		live: w.live,
 	}
 	if w.atk != nil {
 		st := *w.atk
@@ -893,7 +897,7 @@ func (w *World) scan(op Op) *Violation {
 		return nil
 	}
 	// (dram) and (writeback) via the shared Scanner clauses.
-	if v := w.scanner().ScanLive(); v != nil {
+	if v := w.scanner().ScanLive(&w.live); v != nil {
 		v.Step, v.Op = w.step, op
 		return v
 	}

@@ -780,7 +780,7 @@ func (sl *slot) sweep(d *device) {
 	if d.dev.Kernel.State() == kernel.Unlocked {
 		d.dev.Kernel.Lock()
 	}
-	if v := deviceScanner(d).ScanLive(); v != nil {
+	if v := deviceScanner(d).ScanLive(nil); v != nil {
 		sl.addViolation(fmt.Sprintf("device %d (sweep): clause %s: %s", sl.id, v.Clause, v.Detail))
 	}
 	d.dev.SoC.PowerCut(0.05, remanence.RoomTempC)

@@ -190,3 +190,45 @@ func BenchmarkStoreFork(b *testing.B) {
 		f.SetByte(0, byte(i)) // dirty one page: the realistic fork cost
 	}
 }
+
+// TestStoreGen: every method that can change what a read returns, or which
+// pages TouchedPages lists, advances the write generation; Seal does not,
+// and Fork hands its generation to the fork. The live scanner skips DRAM
+// scans on an unchanged generation, so a missed bump is a missed violation.
+func TestStoreGen(t *testing.T) {
+	base := NewStore(1 << 20)
+	fillPattern(base, 0, 2*PageSize, 3)
+	base.Seal()
+	rows := []struct {
+		name    string
+		op      func(s *Store)
+		advance bool
+	}{
+		{"SetByte", func(s *Store) { s.SetByte(7, 0x11) }, true},
+		{"Write", func(s *Store) { s.Write(PageSize-2, []byte{1, 2, 3, 4}) }, true},
+		{"MutatePages", func(s *Store) { s.MutatePages(func(uint64, []byte) {}) }, true},
+		{"ZeroAll", func(s *Store) { s.ZeroAll() }, true},
+		{"Rebase", func(s *Store) { s.Rebase(base) }, true},
+		{"Seal", func(s *Store) { s.Seal() }, false},
+		{"Fork", func(s *Store) { s.Fork() }, false},
+		{"Read", func(s *Store) { s.Read(0, make([]byte, 64)) }, false},
+		{"ByteAt", func(s *Store) { s.ByteAt(9) }, false},
+		{"TouchedPages", func(s *Store) { s.TouchedPages() }, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s := base.Fork()
+			fillPattern(s, 3*PageSize, 16, 9)
+			before := s.Gen()
+			row.op(s)
+			if moved := s.Gen() != before; moved != row.advance {
+				t.Fatalf("generation moved=%v, want %v", moved, row.advance)
+			}
+		})
+	}
+	s := base.Fork()
+	s.Write(0, []byte{1})
+	if f := s.Fork(); f.Gen() != s.Gen() {
+		t.Fatalf("fork starts at generation %d, parent at %d", f.Gen(), s.Gen())
+	}
+}

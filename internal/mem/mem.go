@@ -50,6 +50,8 @@ type Store struct {
 	// reference: the store seals before its first write, so the write
 	// copies out of the base instead of landing in a shared page.
 	borrowed bool
+	// gen is the write generation (see Gen).
+	gen uint64
 
 	// Recently touched pages, direct-mapped by a multiplicative hash of the
 	// page number: access streams are sequential but interleave a few pages
@@ -148,11 +150,20 @@ func (s *Store) Seal() {
 
 // Fork seals the store and returns a new store sharing its pages
 // copy-on-write. The fork costs O(1) plus the seal's metadata merge; page
-// data is copied only when either side writes.
+// data is copied only when either side writes. The fork starts at the
+// store's write generation.
 func (s *Store) Fork() *Store {
 	s.Seal()
-	return &Store{size: s.size, pages: make(map[uint64]*[PageSize]byte), base: s.base}
+	return &Store{size: s.size, pages: make(map[uint64]*[PageSize]byte), base: s.base, gen: s.gen}
 }
+
+// Gen returns the store's write generation. Every method that can change
+// what a read returns, or which pages TouchedPages lists, advances it:
+// SetByte, Write, MutatePages, ZeroAll and Rebase. Seal does not, and a
+// Fork starts where its parent stood. So while Gen has not moved, the
+// store holds the bytes it held when Gen was last read, and a scan of
+// those bytes need not be repeated.
+func (s *Store) Gen() uint64 { return s.gen }
 
 // Size returns the store's capacity in bytes.
 func (s *Store) Size() uint64 { return s.size }
@@ -176,6 +187,7 @@ func (s *Store) ByteAt(off uint64) byte {
 // SetByte stores b at offset off.
 func (s *Store) SetByte(off uint64, b byte) {
 	s.check(off, 1)
+	s.gen++
 	s.materialise(off >> PageShift)[off&(PageSize-1)] = b
 }
 
@@ -202,6 +214,7 @@ func (s *Store) Read(off uint64, dst []byte) {
 // Write copies src into the store starting at off.
 func (s *Store) Write(off uint64, src []byte) {
 	s.check(off, len(src))
+	s.gen++
 	for len(src) > 0 {
 		pn := off >> PageShift
 		po := off & (PageSize - 1)
@@ -280,6 +293,7 @@ func (s *Store) Rebase(base *Store) int {
 	s.pages = delta
 	s.base = base.base
 	s.borrowed = borrowed
+	s.gen++
 	s.cachePN = [pageCacheSlots]uint64{}
 	s.cachePage = [pageCacheSlots]*[PageSize]byte{}
 	s.cacheRW = [pageCacheSlots]bool{}
@@ -298,6 +312,7 @@ func (s *Store) ZeroAll() {
 	s.pages = make(map[uint64]*[PageSize]byte)
 	s.base = nil
 	s.borrowed = false
+	s.gen++
 	s.cachePage = [pageCacheSlots]*[PageSize]byte{}
 	s.cacheRW = [pageCacheSlots]bool{}
 }
@@ -329,6 +344,7 @@ func (s *Store) TouchedPages() []uint64 {
 // order keeps the RNG draw sequence — and therefore every decayed dump —
 // identical for a given seed.
 func (s *Store) MutatePages(fn func(base uint64, data []byte)) {
+	s.gen++
 	for _, base := range s.TouchedPages() {
 		fn(base, s.materialise(base >> PageShift)[:])
 	}

@@ -134,3 +134,43 @@ func TestRNGCloneContinuesAndDiverges(t *testing.T) {
 		t.Fatal("original failed to advance past its clone")
 	}
 }
+
+// TestLazySeedCloneAndRestore takes a Clone and a State/RestoreRNG at
+// stream positions inside the lazy-seeding phase, at its last draw and
+// after it, and checks that the original, the clone and the restored RNG
+// all continue exactly like math/rand from that position.
+func TestLazySeedCloneAndRestore(t *testing.T) {
+	for _, seed := range []int64{0, 5, -77, 1 << 45} {
+		for _, pos := range []int{0, 1, 2, lazyDraws / 2, lazyDraws - 1, lazyDraws, lazyDraws + 1, fibTap, fibTap + 1, 700} {
+			g := NewRNG(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < pos; i++ {
+				if got, want := g.Uint64(), ref.Uint64(); got != want {
+					t.Fatalf("seed %d draw %d: %#x, math/rand %#x", seed, i, got, want)
+				}
+			}
+			c, r := g.Clone(), RestoreRNG(g.State())
+			for i := 0; i < 2*lazyDraws; i++ {
+				want := ref.Uint64()
+				for name, h := range map[string]*RNG{"original": g, "clone": c, "restored": r} {
+					if got := h.Uint64(); got != want {
+						t.Fatalf("seed %d, taken at draw %d: %s draw %d = %#x, math/rand %#x",
+							seed, pos, name, pos+i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNewRNG seeds an RNG and draws 12 values: the explorer's
+// per-node child draw.
+func BenchmarkNewRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g := NewRNG(int64(i))
+		for j := 0; j < 12; j++ {
+			g.Uint64()
+		}
+	}
+}

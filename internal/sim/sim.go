@@ -159,9 +159,16 @@ func (m *Meter) Span(fn func()) float64 {
 // rand.NewSource for every seed (TestFibSourceMatchesMathRand); the frozen
 // seeding table it folds in lives in rngcooked_gen.go, extracted from the
 // toolchain by scripts/extract_rng_cooked.sh.
+//
+// Seeding is lazy. Most RNGs serve a few dozen draws (the explorer seeds
+// one per tree node), but seeding fills 607 slots at three LCG steps each.
+// So Seed fills nothing, and each of the first lazyDraws draws fills the
+// two slots it reads first; then the rest are filled at once.
 type fibSource struct {
 	tap, feed int
 	vec       [fibLen]int64
+	seed      uint64 // the normalised seed: the LCG state before its first step
+	lazy      int    // draws left before the unread slots are filled
 }
 
 const (
@@ -169,24 +176,32 @@ const (
 	fibTap   = 273
 	fibMask  = 1<<63 - 1
 	int32Max = 1<<31 - 1
+	lcgA     = 48271 // the seeding LCG's multiplier (see seedPow)
+	// lazyDraws is how many draws fill slots one by one. It must not
+	// exceed fibTap: from draw fibTap+1 on, the tap reads slots that
+	// earlier draws wrote.
+	lazyDraws = 64
 )
 
-// seedrand advances the Lehmer LCG (a=48271 over 2^31-1, computed via
-// Schrage's decomposition to stay in 32 bits) that stirs the seed into the
-// initial vector.
-func seedrand(x int32) int32 {
-	const a, q, r = 48271, 44488, 3399
-	hi := x / q
-	lo := x % q
-	x = a*lo - r*hi
-	if x < 0 {
-		x += int32Max
+// seedPow[i] is lcgA^(21+3i) mod (2^31-1). math/rand stirs the seed into
+// the vector with the Lehmer LCG x -> lcgA*x mod (2^31-1), stepping it 20
+// times and then three times per slot, so slot i's first LCG state is
+// seedPow[i] times the seed.
+var seedPow = func() (p [fibLen]uint64) {
+	x := uint64(1)
+	for i := 0; i < 21; i++ {
+		x = x * lcgA % int32Max
 	}
-	return x
-}
+	for i := range p {
+		p[i] = x
+		x = x * lcgA % int32Max * lcgA % int32Max * lcgA % int32Max
+	}
+	return p
+}()
 
-// Seed initialises the vector deterministically from seed, exactly as
+// Seed initialises the generator deterministically from seed, exactly as
 // math/rand does: three LCG draws per slot, whitened by the cooked table.
+// The slots themselves are filled as the first draws read them.
 func (f *fibSource) Seed(seed int64) {
 	f.tap = 0
 	f.feed = fibLen - fibTap
@@ -198,18 +213,35 @@ func (f *fibSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
+	f.seed = uint64(seed)
+	f.lazy = lazyDraws
+}
 
-	x := int32(seed)
-	for i := -20; i < fibLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			u ^= rngCooked[i]
-			f.vec[i] = u
+// fill computes slot i of the seeded vector: the LCG is a multiplication
+// modulo 2^31-1, so slot i's three states follow from seedPow[i].
+func (f *fibSource) fill(i int) {
+	x := seedPow[i] * f.seed % int32Max
+	u := int64(x) << 40
+	x = x * lcgA % int32Max
+	u ^= int64(x) << 20
+	x = x * lcgA % int32Max
+	u ^= int64(x)
+	f.vec[i] = u ^ rngCooked[i]
+}
+
+// fillLazy fills the two slots the current draw reads, which no earlier
+// draw has read: draw k reads slots fibLen-fibTap-k and fibLen-k. The last
+// lazy draw also fills every slot still unread, below the feed and between
+// the two cursors.
+func (f *fibSource) fillLazy() {
+	f.fill(f.feed)
+	f.fill(f.tap)
+	if f.lazy--; f.lazy == 0 {
+		for i := 0; i < f.feed; i++ {
+			f.fill(i)
+		}
+		for i := fibLen - fibTap; i < f.tap; i++ {
+			f.fill(i)
 		}
 	}
 }
@@ -223,6 +255,9 @@ func (f *fibSource) Uint64() uint64 {
 	f.feed--
 	if f.feed < 0 {
 		f.feed += fibLen
+	}
+	if f.lazy > 0 {
+		f.fillLazy()
 	}
 	x := f.vec[f.feed] + f.vec[f.tap]
 	f.vec[f.feed] = x
