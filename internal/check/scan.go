@@ -88,9 +88,19 @@ const nearMissSlack = 8
 // a schedule that ended adjacent to a violation. The explorer banks such
 // prefixes into its corpus for future campaigns.
 func (sc *Scanner) NearMiss() bool {
-	relaxed := sc.FuzzBudget*4 + nearMissSlack
+	relaxed := sc.nearMissBudget()
 	return attack.FuzzyContains(sc.S.DRAM.Store(), sc.Marker, relaxed) ||
 		attack.FuzzyContains(sc.S.IRAM.Store(), sc.Marker, relaxed)
+}
+
+// nearMissBudget is the relaxed decay budget, capped at half the marker:
+// a window that keeps half the marker's bytes is still a damaged copy of
+// it, and unrelated bytes essentially never do (decay's 0x00/0xFF ground
+// states match none of the marker's). Uncapped, the budget reached the
+// marker's length, every window of every image matched, and every leaf
+// cut while locked counted as a near miss.
+func (sc *Scanner) nearMissBudget() int {
+	return min(sc.FuzzBudget*4+nearMissSlack, len(sc.Marker)/2)
 }
 
 // PostMortem enforces the after-power-loss clauses — (remanence) and (key) —

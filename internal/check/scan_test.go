@@ -1,10 +1,13 @@
 package check
 
 import (
+	"bytes"
 	"testing"
 
 	"sentry/internal/faults"
+	"sentry/internal/mem"
 	"sentry/internal/sim"
+	"sentry/internal/soc"
 )
 
 // TestLiveScanSkipMatchesFullScan: a world whose live scan skips DRAM that
@@ -70,4 +73,41 @@ func TestLiveScanSkipMatchesFullScan(t *testing.T) {
 		t.Error("no live scan was skipped; the test exercises nothing")
 	}
 	t.Logf("%d skipped scans; violations by clause %v", skipped, clauses)
+}
+
+// TestNearMissNeedsADamagedCopy: unrelated bytes are never a near miss,
+// while a marker copy with FuzzBudget+1 up to the relaxed budget's worth of
+// damaged bytes, straddling a page boundary, is one (and is no remanence
+// violation).
+func TestNearMissNeedsADamagedCopy(t *testing.T) {
+	marker := []byte("INVARIANT-MARKER-XYZZY")
+	scanner := func() *Scanner {
+		return &Scanner{S: soc.Tegra3(1), Marker: marker, FuzzBudget: fuzzBudget}
+	}
+	const at = soc.DRAMBase + 0x100000
+	sc := scanner()
+	if relaxed := sc.nearMissBudget(); relaxed <= fuzzBudget || relaxed > len(marker)/2 {
+		t.Fatalf("relaxed budget %d: want above the strict %d and at most half the %d-byte marker",
+			relaxed, fuzzBudget, len(marker))
+	}
+	for _, b := range []byte{0xAA, 0x00, 0xFF} {
+		sc.S.DRAM.Write(at, bytes.Repeat([]byte{b}, mem.PageSize))
+		if sc.NearMiss() {
+			t.Fatalf("a page of %#x counts as a near miss", b)
+		}
+	}
+	for damaged := fuzzBudget + 1; damaged <= sc.nearMissBudget()+1; damaged++ {
+		sc := scanner()
+		copyOf := append([]byte(nil), marker...)
+		for i := 0; i < damaged; i++ {
+			copyOf[i*len(copyOf)/damaged] ^= 0x80
+		}
+		sc.S.DRAM.Write(at-7, copyOf)
+		if v := sc.PostMortem("test"); v != nil {
+			t.Fatalf("%d damaged bytes: strict clause fired: %s", damaged, v.Detail)
+		}
+		if got, want := sc.NearMiss(), damaged <= sc.nearMissBudget(); got != want {
+			t.Fatalf("%d damaged bytes: near miss %v, want %v", damaged, got, want)
+		}
+	}
 }
