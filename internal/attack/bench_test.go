@@ -21,6 +21,9 @@ func decayedImage(b *testing.B) []*mem.Store {
 	return []*mem.Store{w.S.DRAM.Store(), w.S.IRAM.Store()}
 }
 
+// keysSink keeps BenchmarkFindAESKeys's result live.
+var keysSink [][]byte
+
 // BenchmarkFindAESKeys is the post-mortem's (key) clause over one decayed
 // image.
 func BenchmarkFindAESKeys(b *testing.B) {
@@ -28,7 +31,7 @@ func BenchmarkFindAESKeys(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range img {
-			attack.FindAESKeys(st)
+			keysSink = attack.FindAESKeys(st)
 		}
 	}
 }

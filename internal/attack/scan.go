@@ -73,9 +73,9 @@ func Contains(st *mem.Store, needle []byte) bool {
 // attacker. With maxMismatch zero it degenerates to Contains.
 //
 // A window within k mismatches matches at least one of k+1 disjoint pieces
-// of the needle exactly (pigeonhole), so only the offsets where bytes.Index
-// finds a piece are counted. With k >= len(needle) every piece would be
-// empty, and every window is counted.
+// of the needle exactly (pigeonhole), so mismatches are counted only at the
+// offsets where bytes.Index finds a piece. With k >= len(needle) there are
+// not that many pieces, but then every window is within budget.
 func FuzzyContains(st *mem.Store, needle []byte, maxMismatch int) bool {
 	if len(needle) == 0 {
 		return true
@@ -168,8 +168,8 @@ func FindAESKeys(st *mem.Store) [][]byte {
 	zero := make([]byte, len(buf))
 	size := st.Size()
 	decoded := make([]uint32, 0, len(buf)/4)
-	lin := make([]int, 0, len(buf)/4+1)
-	step := make([]int, 0, len(buf)/4)
+	lin := make([]int32, 0, len(buf)/4+1)
+	step := make([]int32, 0, len(buf)/4)
 	for _, base := range st.TouchedPages() {
 		n := uint64(len(buf))
 		if base+n > size {
@@ -201,7 +201,7 @@ func FindAESKeys(st *mem.Store) [][]byte {
 		// whose relations feed back through the S-box instead.
 		lin, step = append(lin[:0], 0), step[:0]
 		for j, w := range decoded {
-			fail := 0
+			fail := int32(0)
 			if j >= 4 && w != decoded[j-4]^decoded[j-1] {
 				fail = 1
 			}

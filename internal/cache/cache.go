@@ -214,14 +214,13 @@ func (c *L2) wchunk(set int) *chunk {
 // unshare is wchunk's slow path: it installs a private copy of chunk i.
 func (c *L2) unshare(i uint) *chunk {
 	k := &chunk{}
-	old := c.chunks[i]
-	if old != nil {
+	if old := c.chunks[i]; old != nil {
 		*k = *old
 	}
-	if old != nil && old.tags != nil {
-		k.tags = slices.Clone(old.tags)
-		k.holder = slices.Clone(old.holder)
-		k.data = slices.Clone(old.data)
+	if k.tags != nil {
+		k.tags = slices.Clone(k.tags)
+		k.holder = slices.Clone(k.holder)
+		k.data = slices.Clone(k.data)
 	} else {
 		n := chunkSets * c.cfg.Ways
 		k.tags = make([]uint64, n)
@@ -635,21 +634,18 @@ func (c *L2) invalidateWays(mask uint32) {
 		if !hit {
 			continue
 		}
-		if !kept && !c.owned[ci] {
-			for _, vm := range k.valid {
-				for drop := vm; drop != 0; drop &= drop - 1 {
-					c.validCount[bits.TrailingZeros32(drop)]--
-				}
+		for _, vm := range k.valid {
+			for drop := vm & mask; drop != 0; drop &= drop - 1 {
+				c.validCount[bits.TrailingZeros32(drop)]--
 			}
+		}
+		if !kept && !c.owned[ci] {
 			c.chunks[ci] = &chunk{victim: k.victim}
 			continue
 		}
 		k = c.wchunk(ci * chunkSets)
-		for j, vm := range k.valid {
-			for drop := vm & mask; drop != 0; drop &= drop - 1 {
-				c.validCount[bits.TrailingZeros32(drop)]--
-			}
-			k.valid[j] = vm &^ mask
+		for j := range k.valid {
+			k.valid[j] &^= mask
 			k.dirty[j] &^= mask
 		}
 	}
