@@ -31,11 +31,12 @@ bench-guard:
 
 # Microbenchmarks that name their layer: mem.Store COW, L2 fill, clone and
 # sparse-delta hydrate, checkpoint/fork cost, the live scan, the
-# post-mortem's keyfinder and fuzzy marker scan, and RNG seeding. A fixed
-# iteration count (-benchtime 100x) keeps the run to seconds; it asserts no
-# bound, so read the ns/op and B/op numbers comparatively, not absolutely.
+# post-mortem's decay, keyfinder and fuzzy marker scan, monitored bus
+# transfers, and RNG seeding. A fixed iteration count (-benchtime 100x)
+# keeps the run to seconds; it asserts no bound, so read the ns/op and B/op
+# numbers comparatively, not absolutely.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/mem/ ./internal/cache/ ./internal/check/ ./internal/attack/ ./internal/sim/
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/mem/ ./internal/cache/ ./internal/check/ ./internal/attack/ ./internal/sim/ ./internal/remanence/ ./internal/bus/
 
 # The scoreboard: each kind of the guard table in internal/wallclock is
 # remade on the fixed run its BENCH_wallclock.json record was made on (the

@@ -354,3 +354,64 @@ func TestDumpHelpers(t *testing.T) {
 		t.Fatal("CountPattern through dump broken")
 	}
 }
+
+// TestBusMonitorCaptureSurvivesBufferReuse: the bus lends monitors the
+// transfer's own buffer, so BusMonitor, which keeps its capture, must copy.
+// Overwriting the buffers after the transfers must not change what it saw.
+func TestBusMonitorCaptureSurvivesBufferReuse(t *testing.T) {
+	s := soc.Tegra3(3)
+	m, err := AttachBusMonitor(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := []byte("on the wire, once")
+	s.Bus.WriteFrom("cpu-uncached", soc.DRAMBase, src)
+	dst := make([]byte, len(src))
+	s.Bus.ReadInto("dma0", soc.DRAMBase, dst)
+	copy(src, "overwritten later")
+	copy(dst, "overwritten later")
+	txs := m.Transactions()
+	if len(txs) != 2 {
+		t.Fatalf("captured %d transactions, want 2", len(txs))
+	}
+	for i, tx := range txs {
+		if string(tx.Data) != "on the wire, once" {
+			t.Fatalf("tx%d now reads %q", i, tx.Data)
+		}
+	}
+	if !m.CapturedData([]byte("wire")) || m.CapturedData([]byte("later")) {
+		t.Fatal("CapturedData reads the reused buffers, not the capture")
+	}
+}
+
+// TestDMAScrapeFindsStraddlingSchedule: a key schedule straddling two DRAM
+// pages is recovered on every mount, whatever order the scrape captured its
+// pages in.
+func TestDMAScrapeFindsStraddlingSchedule(t *testing.T) {
+	s := soc.Tegra3(7)
+	key := []byte("straddles-pages!")
+	ms := &aes.MapStore{}
+	if _, err := aes.NewPlaced(ms, key, 0); err != nil {
+		t.Fatal(err)
+	}
+	sched := ms.Data[aes.EncKeysOffset : aes.EncKeysOffset+176]
+	filler := make([]byte, mem.PageSize)
+	for i := range filler {
+		filler[i] = byte(i*7 + 1)
+	}
+	const at, pages = 0x300000, 16
+	for p := uint64(0); p < pages; p++ {
+		s.DRAM.Store().Write(at+p*mem.PageSize, filler)
+	}
+	// Half the schedule ends one page, half starts the next.
+	s.DRAM.Store().Write(at+pages/2*mem.PageSize-88, sched)
+	for i := 0; i < 20; i++ {
+		a, err := MountDMAScrape(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !containsKey(a.RecoverKeys(), key) {
+			t.Fatalf("mount %d: straddling schedule not recovered from %d pages", i, a.PagesRead())
+		}
+	}
+}

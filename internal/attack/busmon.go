@@ -44,8 +44,12 @@ type BusMonitor struct {
 	txs []bus.Transaction
 }
 
-// Observe implements bus.Monitor.
-func (m *BusMonitor) Observe(tx bus.Transaction) { m.txs = append(m.txs, tx) }
+// Observe implements bus.Monitor. The capture outlives the call, so it
+// keeps a copy of the payload.
+func (m *BusMonitor) Observe(tx bus.Transaction) {
+	tx.Data = bytes.Clone(tx.Data)
+	m.txs = append(m.txs, tx)
+}
 
 // Transactions returns everything captured so far.
 func (m *BusMonitor) Transactions() []bus.Transaction { return m.txs }

@@ -58,14 +58,16 @@ func (a *DMAScrape) ContainsSecret(needle []byte) bool {
 	return false
 }
 
-// RecoverKeys runs the AES keyfinder over the scraped pages.
+// RecoverKeys runs the AES keyfinder over the scraped pages, each placed at
+// its physical address in one sparse image from iRAM's base to DRAM's end.
+// Pages adjacent in memory stay adjacent, so a schedule straddling two of
+// them is found, and no others are: the result is exactly what the
+// attacker read, whatever order the pages were captured in.
 func (a *DMAScrape) RecoverKeys() [][]byte {
-	// Rebuild a store view of the scrape for the scanner.
-	st := mem.NewStore(uint64(len(a.data)) * mem.PageSize)
-	i := uint64(0)
-	for _, page := range a.data {
-		st.Write(i*mem.PageSize, page)
-		i++
+	end := soc.DRAMBase + mem.PhysAddr(a.s.Prof.DRAMSize)
+	st := mem.NewStore(uint64(end - soc.IRAMBase))
+	for addr, page := range a.data {
+		st.Write(uint64(addr-soc.IRAMBase), page)
 	}
 	return FindAESKeys(st)
 }

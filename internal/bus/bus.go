@@ -29,8 +29,8 @@ func (o Op) String() string {
 	return "W"
 }
 
-// Transaction is one observable transfer on the external bus. Data is a
-// copy; monitors may retain it.
+// Transaction is one observable transfer on the external bus. Data is the
+// transfer's own buffer, valid only during Observe (see Monitor).
 type Transaction struct {
 	Cycle     uint64
 	Op        Op
@@ -40,7 +40,10 @@ type Transaction struct {
 }
 
 // Monitor receives every transaction on the bus. Implementations must not
-// block; they model passive probes.
+// block; they model passive probes. tx.Data borrows the transfer's buffer:
+// it is valid only until Observe returns, and Observe must not modify it.
+// A monitor that keeps the payload copies it, as io.Writer's "must not
+// retain p" asks.
 type Monitor interface {
 	Observe(tx Transaction)
 }
@@ -202,9 +205,7 @@ func (b *Bus) observe(op Op, initiator string, addr mem.PhysAddr, data []byte) {
 	if len(b.monitors) == 0 {
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	tx := Transaction{Cycle: b.clock.Cycles(), Op: op, Addr: addr, Data: cp, Initiator: initiator}
+	tx := Transaction{Cycle: b.clock.Cycles(), Op: op, Addr: addr, Data: data, Initiator: initiator}
 	for _, m := range b.monitors {
 		m.Observe(tx)
 	}

@@ -17,9 +17,13 @@ func testBus() (*Bus, *sim.Clock, *sim.Meter) {
 	return New(clock, meter, costs, energy, mem.NewMap(dram)), clock, meter
 }
 
+// recorder keeps every transaction, so it copies each payload.
 type recorder struct{ txs []Transaction }
 
-func (r *recorder) Observe(tx Transaction) { r.txs = append(r.txs, tx) }
+func (r *recorder) Observe(tx Transaction) {
+	tx.Data = bytes.Clone(tx.Data)
+	r.txs = append(r.txs, tx)
+}
 
 func TestBusReadWriteRoundTrip(t *testing.T) {
 	b, _, _ := testBus()
@@ -60,15 +64,69 @@ func TestBusMonitorSeesEverything(t *testing.T) {
 	}
 }
 
-func TestBusMonitorGetsCopy(t *testing.T) {
+// tearAt is a fault injector that lets only the first n bytes of every
+// write through.
+type tearAt int
+
+func (n tearAt) FilterWrite(addr mem.PhysAddr, data []byte) int { return min(int(n), len(data)) }
+
+// TestBusMonitorSeesTransferredBytes: during Observe, a monitor sees
+// exactly the bytes that crossed the bus — a read's filled buffer, a
+// write's payload, and only the prefix of a torn write that reached the
+// device.
+func TestBusMonitorSeesTransferredBytes(t *testing.T) {
 	b, _, _ := testBus()
 	rec := &recorder{}
 	b.Attach(rec)
-	buf := []byte{9, 9}
-	b.WriteFrom("x", 0x80000000, buf)
-	buf[0] = 0
-	if rec.txs[0].Data[0] != 9 {
-		t.Fatal("monitor data aliases caller buffer")
+	b.WriteFrom("l2", 0x80000000, []byte("abcdefgh"))
+	b.SetFaults(tearAt(3))
+	b.WriteFrom("l2", 0x80000000, []byte("ABCDEFGH"))
+	b.SetFaults(nil)
+	got := make([]byte, 8)
+	b.ReadInto("dma0", 0x80000000, got)
+	want := []string{"abcdefgh", "ABC", "ABCdefgh"}
+	if len(rec.txs) != len(want) {
+		t.Fatalf("monitor saw %d txs, want %d", len(rec.txs), len(want))
+	}
+	for i, w := range want {
+		if string(rec.txs[i].Data) != w {
+			t.Fatalf("tx%d carried %q, want %q", i, rec.txs[i].Data, w)
+		}
+	}
+	if string(got) != "ABCdefgh" {
+		t.Fatalf("device holds %q after the torn write", got)
+	}
+}
+
+// probe is a monitor in the style of the checker's bus probe: it looks for
+// a needle during the call and keeps nothing.
+type probe struct {
+	needle []byte
+	hits   int
+}
+
+func (p *probe) Observe(tx Transaction) {
+	if bytes.Contains(tx.Data, p.needle) {
+		p.hits++
+	}
+}
+
+// TestBusTransferAllocatesNothing: a monitor borrows the payload, so a
+// transfer seen only by a monitor that keeps nothing allocates nothing.
+func TestBusTransferAllocatesNothing(t *testing.T) {
+	b, _, _ := testBus()
+	p := &probe{needle: []byte("secret")}
+	b.Attach(p)
+	buf := []byte("not a secret, one line of bus data")
+	allocs := testing.AllocsPerRun(100, func() {
+		b.WriteFrom("l2", 0x80000000, buf)
+		b.ReadInto("l2", 0x80000000, buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("a monitored transfer allocated %v times", allocs)
+	}
+	if p.hits != 2*101 {
+		t.Fatalf("probe matched %d transfers, want %d", p.hits, 2*101)
 	}
 }
 

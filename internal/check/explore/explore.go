@@ -159,6 +159,7 @@ type worker struct {
 	id       int
 	cov      uint64 // XOR-fold of visited path hashes
 	maxDepth int
+	rng      *sim.RNG // reseeded per node by childOps
 }
 
 type violationRec struct {
@@ -272,7 +273,7 @@ func (e *explorer) sweep() {
 	wks := make([]*worker, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		wks[i] = &worker{id: i}
+		wks[i] = &worker{id: i, rng: sim.NewRNG(0)}
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
@@ -314,7 +315,7 @@ func (e *explorer) execute(wk *worker, t task) {
 			e.endSchedule(n, w, false)
 			return
 		}
-		ops := e.childOps(n, w, quota)
+		ops := e.childOps(wk, n, w, quota)
 		if len(ops) == 0 {
 			e.endSchedule(n, w, false)
 			return
@@ -377,12 +378,12 @@ func (e *explorer) branchy(n *node) bool {
 
 // childOps draws up to Branch distinct-code child ops for n — a single
 // one unless n is a branch point. The draw is a pure function of the
-// node's path hash, so the tree shape is identical at any worker count;
-// at branch points the POR rule then drops edges that provably commute
-// with n's own incoming edge. Chains are exempt from pruning: a pruned
-// edge is redundant only because the sibling order is explored elsewhere,
-// and a chain has no siblings.
-func (e *explorer) childOps(n *node, w *check.World, quota int) []check.Op {
+// node's path hash (the worker's RNG is reseeded from it), so the tree
+// shape is identical at any worker count; at branch points the POR rule
+// then drops edges that provably commute with n's own incoming edge.
+// Chains are exempt from pruning: a pruned edge is redundant only because
+// the sibling order is explored elsewhere, and a chain has no siblings.
+func (e *explorer) childOps(wk *worker, n *node, w *check.World, quota int) []check.Op {
 	k := quota - 1
 	if k > e.branch {
 		k = e.branch
@@ -390,7 +391,8 @@ func (e *explorer) childOps(n *node, w *check.World, quota int) []check.Op {
 	if k > 1 && !e.branchy(n) {
 		k = 1
 	}
-	rng := sim.NewRNG(int64(n.hash ^ childSalt))
+	rng := wk.rng
+	rng.Reseed(int64(n.hash ^ childSalt))
 	ops := make([]check.Op, 0, k)
 	var seen uint32
 	for tries := 0; len(ops) < k && tries < 6*e.branch; tries++ {

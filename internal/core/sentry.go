@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"sentry/internal/kernel"
 	"sentry/internal/mem"
@@ -408,11 +409,18 @@ func (sn *Sentry) epochFor(frame mem.PhysAddr, decrypt bool) uint64 {
 	return sn.epoch
 }
 
+// pagePool recycles cryptPage's 4 KB staging page, which would otherwise be
+// a heap allocation per page sealed or unsealed. It is shared rather than a
+// Sentry field because a parked fleet device keeps its Sentry: a field
+// would add 4 KB to every parked device.
+var pagePool = sync.Pool{New: func() any { return new([mem.PageSize]byte) }}
+
 // cryptPage encrypts or decrypts the 4 KB at frame in place. label says why
 // (SealLock, SealDemand, SealEager, SealBg) and is carried on the trace
 // event so trace-derived reports can split volumes the same way Stats does.
 func (sn *Sentry) cryptPage(frame mem.PhysAddr, decrypt bool, label string) {
-	var page [mem.PageSize]byte
+	page := pagePool.Get().(*[mem.PageSize]byte)
+	defer pagePool.Put(page)
 	cpu := sn.S.CPU
 	startCycle := sn.S.Clock.Cycles()
 	cpu.ReadPhys(frame, page[:])

@@ -477,3 +477,31 @@ func TestWipeOnReleaseClearsArena(t *testing.T) {
 		}
 	}
 }
+
+// TestCPUStoreWordAccessorsDoNotAllocate: the AES table accessors stage
+// their bytes in the store's own word, on an iRAM arena and on a DRAM arena
+// whose line is warm in an L2 the platform owns.
+func TestCPUStoreWordAccessorsDoNotAllocate(t *testing.T) {
+	s := soc.Tegra3(1)
+	iram, _ := s.UsableIRAM()
+	for _, tc := range []struct {
+		name string
+		base mem.PhysAddr
+	}{{"iram", iram}, {"dram-l2", soc.DRAMBase + 0x200000}} {
+		st := NewCPUStore(s.CPU, tc.base, false)
+		st.Store32(0, 0x01020304) // warms the DRAM arena's line
+		var sink uint32
+		allocs := testing.AllocsPerRun(100, func() {
+			st.Store32(4, 0xA1B2C3D4)
+			sink += st.Load32(4)
+			st.StoreByte(9, 0x5A)
+			sink += uint32(st.LoadByte(9))
+		})
+		if allocs != 0 {
+			t.Errorf("%s: word accessors allocated %v times per round", tc.name, allocs)
+		}
+		if st.Load32(4) != 0xA1B2C3D4 || st.LoadByte(9) != 0x5A || st.Load32(0) != 0x01020304 {
+			t.Errorf("%s: accessors did not round-trip", tc.name)
+		}
+	}
+}

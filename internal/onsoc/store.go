@@ -39,6 +39,11 @@ type CPUStore struct {
 
 	// inIRAM caches the routing decision for Touch charging.
 	inIRAM bool
+
+	// word stages the word accessors' bytes. The buffer reaches the bus's
+	// fault-injector interface, so a local array would escape to the heap
+	// on every table lookup; like its platform, a store has one owner.
+	word [4]byte
 }
 
 // NewCPUStore returns a store for an arena at base. base must have
@@ -68,28 +73,26 @@ func (s *CPUStore) write(off int, b []byte) {
 
 // Load32 reads a big-endian arena word.
 func (s *CPUStore) Load32(off int) uint32 {
-	var b [4]byte
-	s.read(off, b[:])
-	return binary.BigEndian.Uint32(b[:])
+	s.read(off, s.word[:])
+	return binary.BigEndian.Uint32(s.word[:])
 }
 
 // Store32 writes a big-endian arena word.
 func (s *CPUStore) Store32(off int, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	s.write(off, b[:])
+	binary.BigEndian.PutUint32(s.word[:], v)
+	s.write(off, s.word[:])
 }
 
 // LoadByte reads one arena byte.
 func (s *CPUStore) LoadByte(off int) byte {
-	var b [1]byte
-	s.read(off, b[:])
-	return b[0]
+	s.read(off, s.word[:1])
+	return s.word[0]
 }
 
 // StoreByte writes one arena byte.
 func (s *CPUStore) StoreByte(off int, b byte) {
-	s.write(off, []byte{b})
+	s.word[0] = b
+	s.write(off, s.word[:1])
 }
 
 // Touch charges n word accesses at the arena's effective cost. For a DRAM

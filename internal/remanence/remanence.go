@@ -21,6 +21,8 @@ package remanence
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"sentry/internal/mem"
 	"sentry/internal/sim"
@@ -94,6 +96,8 @@ func GroundByte(addr uint64) byte {
 // per-byte Bernoulli process induces: skip = floor(ln U / ln r) surviving
 // bytes precede each flip. The work is O(flipped bytes), and the resulting
 // flip pattern has exactly the per-byte distribution of the naive loop.
+// The skip is read off r's threshold table (gapTable), which gives the
+// same value as the logarithm for every draw.
 func Decay(d *mem.Device, rng *sim.RNG, t, tempC float64) {
 	r := CurveFor(d.Tech()).ByteRetention(t, tempC)
 	if r >= 1 {
@@ -107,7 +111,7 @@ func Decay(d *mem.Device, rng *sim.RNG, t, tempC float64) {
 		})
 		return
 	}
-	invLogR := 1 / math.Log(r)
+	tab := tableFor(r)
 	d.Store().MutatePages(func(base uint64, data []byte) {
 		i := 0
 		for i < len(data) {
@@ -117,7 +121,7 @@ func Decay(d *mem.Device, rng *sim.RNG, t, tempC float64) {
 				// within any representable gap".
 				return
 			}
-			gap := math.Floor(math.Log(u) * invLogR)
+			gap := tab.gap(u)
 			if gap >= float64(len(data)-i) {
 				return
 			}
@@ -126,4 +130,92 @@ func Decay(d *mem.Device, rng *sim.RNG, t, tempC float64) {
 			i++
 		}
 	})
+}
+
+// gapTable turns a draw u into the sampler's skip, floor(ln u · invLogR),
+// without a logarithm for the short skips that make up nearly every draw.
+// thresh[k-1] is T_k, the largest float64 whose skip is at least k. The
+// skip never grows as u grows (math.Log is monotone, which the boundary
+// test checks around every threshold, and invLogR is negative), so u's
+// skip is the number of leading thresholds u does not exceed: k when
+// T_{k+1} < u <= T_k. Only a draw at or below the last threshold pays for
+// math.Log. Because the thresholds are found with the very expression they
+// replace, the table and the logarithm agree on every draw.
+type gapTable struct {
+	invLogR float64
+	thresh  []float64
+}
+
+// gap returns u's skip, as a float64 like the expression it replaces.
+func (t *gapTable) gap(u float64) float64 {
+	for k, tk := range t.thresh {
+		if u > tk {
+			return float64(k)
+		}
+	}
+	return math.Floor(math.Log(u) * t.invLogR)
+}
+
+const (
+	// maxThresholds caps a table's length, and with it the scan a long
+	// skip pays before it falls back to the logarithm.
+	maxThresholds = 16
+	// tailMass ends a table early: a draw falls below T_k with
+	// probability T_k, so once that is 2^-20 the logarithm is rare.
+	tailMass = 0x1p-20
+	// maxTables bounds the cache. Power cuts use a handful of fixed
+	// durations; arbitrary ones (fuzzing) get a table without thresholds.
+	maxTables = 64
+)
+
+// newGapTable finds each threshold by bisection over the bit patterns of
+// the positive float64s, which order like their values.
+func newGapTable(r float64) *gapTable {
+	t := &gapTable{invLogR: 1 / math.Log(r)}
+	skip := func(bits uint64) float64 {
+		return math.Floor(math.Log(math.Float64frombits(bits)) * t.invLogR)
+	}
+	hi := math.Float64bits(1) // skip 0: below every k >= 1
+	for k := 1; k <= maxThresholds; k++ {
+		want := float64(k)
+		lo := uint64(1) // the smallest positive float64
+		if skip(lo) < want {
+			break // no positive draw skips k bytes
+		}
+		for hi-lo > 1 { // invariant: skip(lo) >= k > skip(hi)
+			if mid := lo + (hi-lo)/2; skip(mid) >= want {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		tk := math.Float64frombits(lo)
+		t.thresh = append(t.thresh, tk)
+		if tk <= tailMass {
+			break
+		}
+		// hi stays T_k's successor, whose skip is below k < k+1.
+	}
+	return t
+}
+
+// tables caches one gapTable per retention value; an entry is a pure
+// function of its key, so every platform and goroutine shares it.
+var (
+	tables    sync.Map // float64 -> *gapTable
+	numTables atomic.Int32
+)
+
+func tableFor(r float64) *gapTable {
+	if t, ok := tables.Load(r); ok {
+		return t.(*gapTable)
+	}
+	if numTables.Load() >= maxTables {
+		return &gapTable{invLogR: 1 / math.Log(r)}
+	}
+	t, loaded := tables.LoadOrStore(r, newGapTable(r))
+	if !loaded {
+		numTables.Add(1)
+	}
+	return t.(*gapTable)
 }

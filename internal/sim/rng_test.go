@@ -104,6 +104,65 @@ func TestFibSourceMatchesMathRand(t *testing.T) {
 			t.Fatalf("seed %d: Int63 %#x, math/rand %#x", seed, got, want)
 		}
 	}
+	// Float64 reimplements rand.Rand.Float64 over the source: the same
+	// bits for a million draws per seed.
+	for _, seed := range []int64{0, 1, -1, 42, 1 << 40} {
+		g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1_000_000; i++ {
+			if got, want := g.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 %v, math/rand %v", seed, i, got, want)
+			}
+		}
+	}
+	// A step within 2^9 of 2^63 rounds up to 1.0, and both resample: put
+	// 2^63-1 next in a seeded generator and compare the draw that follows.
+	g := NewRNG(9)
+	for i := 0; i < lazyDraws; i++ {
+		g.Uint64()
+	}
+	f := &g.src.src
+	tap, feed := (f.tap+fibLen-1)%fibLen, (f.feed+fibLen-1)%fibLen
+	f.vec[feed] = fibMask - f.vec[tap]
+	ref := g.Clone()
+	if got, want := g.Float64(), rand.New(&ref.src).Float64(); got != want || got == 1 {
+		t.Fatalf("after a step that rounds to 1: Float64 %v, math/rand %v", got, want)
+	}
+	if g.State() != ref.State() || g.State().Steps != lazyDraws+2 {
+		t.Fatalf("resample left the stream at step %d, math/rand at %d, want %d",
+			g.State().Steps, ref.State().Steps, lazyDraws+2)
+	}
+}
+
+// TestReseedMatchesNewRNG: an RNG reseeded from any stream position,
+// inside the lazy-seeding phase or after it and with a Read carry pending,
+// is indistinguishable from NewRNG(seed) — in every draw method, in its
+// State, and in its Clone and RestoreRNG copies.
+func TestReseedMatchesNewRNG(t *testing.T) {
+	buf := make([]byte, 5)
+	for _, seed := range []int64{0, 7, -3, 1 << 50} {
+		for _, pos := range []int{0, 1, lazyDraws - 1, lazyDraws, lazyDraws + 1, 700} {
+			g := NewRNG(seed ^ 0x5eed)
+			for i := 0; i < pos; i++ {
+				g.Uint64()
+			}
+			g.Read(buf) // leave a carry for Reseed to drop
+			g.Reseed(seed)
+			fresh := NewRNG(seed)
+			if g.State() != fresh.State() {
+				t.Fatalf("seed %d, reseeded at draw %d: state %+v, NewRNG %+v", seed, pos, g.State(), fresh.State())
+			}
+			c, r := g.Clone(), RestoreRNG(g.State())
+			want := transcript(t, fresh, 40)
+			for name, h := range map[string]*RNG{"reseeded": g, "clone": c, "restored": r} {
+				if got := transcript(t, h, 40); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d, reseeded at draw %d: %s diverges from NewRNG", seed, pos, name)
+				}
+			}
+			if g.State() != fresh.State() {
+				t.Fatalf("seed %d, reseeded at draw %d: states diverge after identical draws", seed, pos)
+			}
+		}
+	}
 }
 
 // TestRNGCloneContinuesAndDiverges: a clone taken mid-stream (including a
@@ -166,12 +225,26 @@ func TestLazySeedCloneAndRestore(t *testing.T) {
 // drawSink keeps BenchmarkNewRNG's draws live.
 var drawSink uint64
 
-// BenchmarkNewRNG seeds an RNG and draws 12 values: the explorer's
-// per-node child draw.
+// BenchmarkNewRNG seeds an RNG and draws 12 values: the size of the
+// explorer's per-node child draw.
 func BenchmarkNewRNG(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := NewRNG(int64(i))
+		for j := 0; j < 12; j++ {
+			drawSink += g.Uint64()
+		}
+	}
+}
+
+// BenchmarkReseed is BenchmarkNewRNG on one reseeded RNG, as each explorer
+// worker draws its nodes' children.
+func BenchmarkReseed(b *testing.B) {
+	g := NewRNG(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Reseed(int64(i))
 		for j := 0; j < 12; j++ {
 			drawSink += g.Uint64()
 		}

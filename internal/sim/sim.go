@@ -289,10 +289,12 @@ func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.n = 0 }
 // goroutine — so, like Clock and Meter, RNG is deliberately unsynchronised.
 //
 // Every value-producing method delegates to a *rand.Rand over the counting
-// source, except Read: rand.Rand keeps its byte-carry state (readVal,
-// readPos) in unexported fields, so Read reimplements math/rand's exact
-// read algorithm over the same source to keep that carry state here, where
-// State can capture it. The byte streams are identical to rand.Rand.Read's.
+// source, except Read and Float64. rand.Rand keeps its byte-carry state
+// (readVal, readPos) in unexported fields, so Read reimplements math/rand's
+// exact read algorithm over the same source to keep that carry state here,
+// where State can capture it. Float64, the remanence sampler's per-flip
+// draw, reimplements rand.Rand.Float64 to skip an interface call. Both
+// streams are identical to rand.Rand's.
 type RNG struct {
 	seed    int64
 	src     countingSource
@@ -303,14 +305,32 @@ type RNG struct {
 
 // NewRNG returns a deterministic random source for the given seed.
 func NewRNG(seed int64) *RNG {
-	g := &RNG{seed: seed}
-	g.src.Seed(seed)
+	g := &RNG{}
+	g.Reseed(seed)
 	g.r = rand.New(&g.src)
 	return g
 }
 
-// Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Reseed repositions g at the start of seed's stream, leaving it exactly as
+// NewRNG(seed) would (read carry included) without allocating: a caller that
+// seeds one short-lived stream per step reuses a single RNG. g.r wraps g.src
+// in place and keeps no stream state of its own that g uses.
+func (g *RNG) Reseed(seed int64) {
+	g.seed = seed
+	g.src.Seed(seed)
+	g.readVal, g.readPos = 0, 0
+}
+
+// Float64 returns a uniform value in [0,1). It is rand.Rand.Float64 on the
+// source directly, one interface call fewer per draw: a 63-bit step over
+// 2^63, resampled in the rare case the division rounds up to 1.
+func (g *RNG) Float64() float64 {
+	for {
+		if f := float64(g.src.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform value in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
